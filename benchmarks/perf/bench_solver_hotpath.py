@@ -1,22 +1,18 @@
-"""Solver hot-path microbenchmark: vectorized kernel vs closure path.
+"""Solver hot-path microbenchmark: cold and warm end-to-end solves.
 
 Times one end-to-end ``PerfOptBW`` and ``PerfPerCostOptBW`` solve at
-GPT-3 scale (GPT-3 on 4D-4K, 4,096 NPUs, 500 GB/s budget by default)
-through both solver kernels, verifies they return the same design points,
-and writes a ``BENCH_solver.json`` artifact. The PerfPerCost row is the
-headline number: the vectorized kernel's target is ≥ 3× over the
-pre-vectorization closure path.
+GPT-3 scale (GPT-3 on 4D-4K, 4,096 NPUs, 500 GB/s budget by default),
+cold (memoization tier cleared) and warm, checks each answer with the
+solver's optimality oracle, and writes a ``BENCH_solver.json`` artifact.
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/perf/bench_solver_hotpath.py
     PYTHONPATH=src python benchmarks/perf/bench_solver_hotpath.py --group
-    PYTHONPATH=src python benchmarks/perf/bench_solver_hotpath.py \
-        --min-speedup 3.0
 
-Exit status: 1 on solver-equivalence drift or an unmet ``--min-speedup``
-floor, 0 otherwise. (``repro bench`` is the packaged equivalent; this
-script exists so the perf trajectory can be measured without installing.)
+Exit status: 1 when an answer fails the optimality oracle, 0 otherwise.
+(``repro bench`` is the packaged equivalent; this script exists so the
+perf trajectory can be measured without installing.)
 """
 
 from __future__ import annotations
@@ -46,9 +42,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--group", action="store_true",
                         help="benchmark the full Table-II group objective "
                              "(hundreds of epigraph constraints)")
-    parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="fail if the PerfPerCost cold speedup is below "
-                             "this (default 0 = report only)")
     parser.add_argument("--output", default="BENCH_solver.json")
     args = parser.parse_args(argv)
 
@@ -65,24 +58,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         artifact = run_benchmarks(config)
     except BenchEquivalenceError as exc:
-        print(f"EQUIVALENCE DRIFT: {exc}", file=sys.stderr)
+        print(f"ORACLE FAILURE: {exc}", file=sys.stderr)
         return 1
     print(format_report(artifact))
     write_artifact(args.output, artifact)
     print(f"wrote {args.output}")
-
-    if args.min_speedup > 0:
-        ppc = next(
-            bench for bench in artifact["benchmarks"]
-            if bench["name"] == "solver_perf_per_cost"
-        )
-        if ppc["speedup_cold"] < args.min_speedup:
-            print(
-                f"FAIL: PerfPerCost speedup {ppc['speedup_cold']:.2f}x "
-                f"< floor {args.min_speedup:g}x",
-                file=sys.stderr,
-            )
-            return 1
     return 0
 
 

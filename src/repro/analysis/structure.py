@@ -313,7 +313,7 @@ def bottleneck_structure(
         x = np.concatenate([scaled, program.initial_aux(scaled)])
         attributions = _attribute_rows(program, constraints, x)
 
-    certificate = certify_optimum(expression, point)
+    certificate = certify_optimum(expression, point, constraints=constraints)
     return BottleneckStructure(
         bandwidths=tuple(float(v) for v in point),
         step_time=backward.step_time,

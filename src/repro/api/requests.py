@@ -109,7 +109,6 @@ class OptimizeRequest:
             instead of solving, GB/s.
         include_baseline: Attach the EqualBW baseline and comparison
             metrics when the scenario carries a total-bandwidth budget.
-        kernel: Solver kernel (``"vectorized"`` or ``"closures"``).
         warm_start: Continuation seed for the solver. ``None`` (default) is
             the cold path; a bandwidth tuple (GB/s) is an explicit prior
             optimum (e.g. the neighboring sweep cell); the string
@@ -124,7 +123,6 @@ class OptimizeRequest:
     scheme: Scheme = Scheme.PERF_OPT
     bandwidths_gbps: tuple[float, ...] | None = None
     include_baseline: bool = True
-    kernel: str = "vectorized"
     warm_start: tuple[float, ...] | str | None = None
     max_starts: int | None = None
 
@@ -181,7 +179,6 @@ class OptimizeRequest:
                 None if self.bandwidths_gbps is None else list(self.bandwidths_gbps)
             ),
             "include_baseline": self.include_baseline,
-            "kernel": self.kernel,
             "warm_start": list(warm) if isinstance(warm, tuple) else warm,
             "max_starts": self.max_starts,
         }
@@ -193,7 +190,9 @@ class OptimizeRequest:
         Accepts version-1 payloads (no ``schema_version`` field), which
         predate the continuation fields and parse as cold requests, and
         version-2 payloads (same field layout as v3, minus the job
-        envelope handled by :func:`request_from_dict`).
+        envelope handled by :func:`request_from_dict`). A ``kernel`` key,
+        which payloads and job records written before the solver had one
+        kernel carry, is ignored.
         """
         check_schema_version(
             payload, _READABLE_REQUEST_VERSIONS, "request", default=1
@@ -210,7 +209,6 @@ class OptimizeRequest:
                     else tuple(float(b) for b in bandwidths)
                 ),
                 include_baseline=bool(payload.get("include_baseline", True)),
-                kernel=str(payload.get("kernel", "vectorized")),
                 warm_start=(
                     warm if warm is None or isinstance(warm, str)
                     else tuple(float(b) for b in warm)

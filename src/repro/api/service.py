@@ -401,7 +401,6 @@ class LibraService:
             point, solver_result = engine.optimize_result(
                 request.scheme,
                 scenario.constraints,
-                kernel=request.kernel,
                 warm_start=warm,
                 max_starts=request.max_starts,
                 should_stop=should_stop,

@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="performance microbenchmarks: solver kernels, memoization, "
+        help="performance microbenchmarks: solver, memoization, "
              "sweep engine (writes BENCH_solver.json)",
     )
     bench.add_argument(
@@ -1267,8 +1267,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         artifact = run_benchmarks(config)
     except BenchEquivalenceError as exc:
-        # Equivalence drift is the one failure CI must catch; no artifact
-        # is written because the numbers cannot be trusted.
+        # An answer failing the optimality oracle is the one failure CI
+        # must catch; no artifact is written because the numbers cannot
+        # be trusted.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(format_report(artifact))

@@ -33,12 +33,12 @@ from repro.core.results import DesignPoint, Scheme
 from repro.core.sensitivity import (
     OptimalityCertificate,
     SensitivityReport,
+    audit_solution,
     bandwidth_sensitivity,
     certify_optimum,
     one_sided_gap,
 )
 from repro.core.solver import (
-    KERNELS,
     CompiledProgram,
     SolverResult,
     build_constraint_blocks,
@@ -67,6 +67,7 @@ __all__ = [
     "DesignPoint",
     "OptimalityCertificate",
     "SensitivityReport",
+    "audit_solution",
     "bandwidth_sensitivity",
     "certify_optimum",
     "one_sided_gap",
@@ -74,7 +75,6 @@ __all__ = [
     "CompiledProgram",
     "ConstraintBlocks",
     "HAS_FAST_SLSQP",
-    "KERNELS",
     "KernelResult",
     "SolverResult",
     "VectorEvaluator",

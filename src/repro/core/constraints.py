@@ -30,6 +30,10 @@ DEFAULT_MIN_BANDWIDTH: float = 0.01 * GBPS
 #: Upper sanity bound (1 PB/s) used only when the designer supplies no cap.
 DEFAULT_MAX_BANDWIDTH: float = 1e15
 
+#: Relative row tolerance at which the solver accepts a candidate as
+#: feasible; the optimality certificate and oracle judge points by it too.
+FEASIBILITY_TOLERANCE: float = 1e-4
+
 
 @dataclass(frozen=True)
 class LinearConstraint:

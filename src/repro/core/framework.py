@@ -175,23 +175,19 @@ class Libra:
         self,
         scheme: Scheme,
         constraints: ConstraintSet,
-        kernel: str = "vectorized",
         warm_start: Sequence[float] | None = None,
         max_starts: int | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> DesignPoint:
         """Run one optimization scheme under the given constraints.
 
-        ``kernel`` selects the solver's inner loop: ``"vectorized"``
-        (matrix-form constraint blocks, default) or ``"closures"`` (the
-        per-constraint reference path kept for equivalence checks and
-        benchmarking). ``warm_start`` (bytes/s) is a prior optimum used as
-        a continuation seed; ``max_starts`` caps the multi-start family;
-        ``should_stop`` is the solver's cooperative cancellation predicate
-        (polled between multi-start seeds).
+        ``warm_start`` (bytes/s) is a prior optimum used as a continuation
+        seed; ``max_starts`` caps the multi-start family; ``should_stop``
+        is the solver's cooperative cancellation predicate (polled between
+        multi-start seeds).
         """
         point, _ = self.optimize_result(
-            scheme, constraints, kernel=kernel,
+            scheme, constraints,
             warm_start=warm_start, max_starts=max_starts,
             should_stop=should_stop,
         )
@@ -201,7 +197,6 @@ class Libra:
         self,
         scheme: Scheme,
         constraints: ConstraintSet,
-        kernel: str = "vectorized",
         warm_start: Sequence[float] | None = None,
         max_starts: int | None = None,
         should_stop: Callable[[], bool] | None = None,
@@ -226,7 +221,7 @@ class Libra:
         expression = self.combined_expression()
         if scheme is Scheme.PERF_OPT:
             result = minimize_training_time(
-                expression, constraints, kernel=kernel,
+                expression, constraints,
                 warm_start=warm_start, max_starts=max_starts,
                 should_stop=should_stop,
             )
@@ -234,7 +229,7 @@ class Libra:
             rates = np.asarray(cost_rates(self.network, self.cost_model))
             rates_total = rates * self.network.num_npus
             result = minimize_time_cost_product(
-                expression, constraints, rates_total, kernel=kernel,
+                expression, constraints, rates_total,
                 warm_start=warm_start, max_starts=max_starts,
                 should_stop=should_stop,
             )

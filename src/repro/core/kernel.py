@@ -1,10 +1,8 @@
 """Vectorized SLSQP kernel: matrix-form constraint blocks + a slim driver.
 
-The closure-based solver path (``solver._scipy_constraints``) hands SLSQP
-one Python callable per epigraph constraint — hundreds for group objectives
-at GPT-3/MSFT-1T scale — and rebuilds them for every multi-start seed. This
-module replaces that inner loop with three stacked blocks, built **once**
-per compiled program and shared across all seeds and both schemes:
+This is the solver's one kernel. The epigraph program compiled by
+:mod:`repro.core.solver` becomes three stacked blocks, built **once** per
+compiled program and shared across all multi-start seeds and both schemes:
 
 * **equality block** — the designer's equality rows as ``A_eq · x = b_eq``;
 * **linear inequality block** — inequality rows *and* every max-epigraph
@@ -13,19 +11,21 @@ per compiled program and shared across all seeds and both schemes:
 * **comm block** — the hyperbolic rows ``aux ≥ coeff / B[dim]`` as gathered
   index/coefficient arrays with one vectorized value/Jacobian evaluation.
 
-Two execution paths consume the blocks:
+:func:`minimize_slsqp` runs SLSQP over the blocks on one of two paths,
+chosen by :data:`HAS_FAST_SLSQP`:
 
-1. :func:`minimize_slsqp` — a reverse-communication driver around scipy's
-   compiled SLSQP core (``scipy.optimize._slsqplib``, scipy ≥ 1.16). It is
-   a faithful transcription of ``scipy.optimize._slsqp_py._minimize_slsqp``
-   minus the per-iteration ``ScalarFunction`` / per-constraint dict
-   machinery: constraint values and normals are written straight into the
-   solver's work arrays by the blocks. Same iterates, same exit modes, a
-   fraction of the Python overhead.
-2. :meth:`ConstraintBlocks.scipy_constraints` — the same blocks as two
-   vector-valued constraint dicts for ``scipy.optimize.minimize``, used
-   when the private core is unavailable (older/newer scipy layouts). The
-   availability switch is :data:`HAS_FAST_SLSQP`.
+1. a reverse-communication driver around scipy's compiled SLSQP core
+   (``scipy.optimize._slsqplib``, a private ABI first shipped in scipy
+   1.16; ``pyproject.toml`` pins the releases it is written against). It
+   is a faithful transcription of scipy's ``_minimize_slsqp`` minus the
+   per-iteration ``ScalarFunction`` / per-constraint dict machinery:
+   constraint values and normals are written straight into the solver's
+   work arrays by the blocks. Same iterates, same exit modes, a fraction
+   of the Python overhead.
+2. when that module does not import, ``scipy.optimize.minimize`` over the
+   same blocks as two vector-valued constraint dicts
+   (:meth:`ConstraintBlocks.scipy_constraints`). The tests run the solver
+   oracle grid on this path too.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ EXIT_MESSAGES = {
     9: "Iteration limit reached",
 }
 
-#: Guard against division blow-up at B = 0 (matches the closure path).
+#: Guard against division blow-up at B = 0.
 _TINY = 1e-12
 
 
@@ -68,8 +68,7 @@ class ConstraintBlocks:
 
     Variables are ``x = [B_scaled (num_dims), aux (num_aux)]``. Row order is
     equalities, then linear inequalities (designer rows followed by max
-    rows), then comm rows — the same constraint *set* the closure path
-    builds, assembled once and evaluated vectorized.
+    rows), then comm rows, assembled once and evaluated vectorized.
     """
 
     num_vars: int

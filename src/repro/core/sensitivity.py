@@ -23,6 +23,7 @@ the gain from adding it; :func:`one_sided_gap` exposes the difference as a
 per-dimension kink detector. To certify a solved point, skip derivatives
 entirely and use :func:`certify_optimum` — direct re-evaluation of
 budget-preserving transfers, the correct first-order statement at a kink.
+:func:`audit_solution` wraps it into the solver's optimality oracle.
 """
 
 from __future__ import annotations
@@ -32,11 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.constraints import FEASIBILITY_TOLERANCE, ConstraintSet
+from repro.core.solver import SolverResult
 from repro.training.expr import Expr
 from repro.utils.errors import ConfigurationError
 
 #: Finite-difference modes accepted by :func:`bandwidth_sensitivity`.
 SENSITIVITY_MODES = ("central", "forward", "backward")
+
+#: Relative slack :func:`audit_solution` allows between a reported
+#: objective and the same value re-evaluated on the expression tree (the
+#: solver evaluates through the flat vector evaluator; only the summation
+#: order differs).
+REEVALUATION_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -241,6 +250,7 @@ def certify_optimum(
     bandwidths: Sequence[float],
     relative_delta: float = 0.01,
     tolerance: float = 1e-6,
+    constraints: ConstraintSet | None = None,
 ) -> OptimalityCertificate:
     """Certify a budget-constrained optimum by direct re-evaluation.
 
@@ -254,8 +264,13 @@ def certify_optimum(
         expression: Symbolic step time.
         bandwidths: Candidate optimum, bytes/s; all entries positive.
         relative_delta: Transfer size as a fraction of the smallest
-            bandwidth (keeps every probe strictly feasible).
+            bandwidth (keeps every probe strictly positive).
         tolerance: Relative improvement below which the point certifies.
+        constraints: The designer constraint set the point was solved
+            under. Probes it rejects at :data:`~repro.core.constraints.
+            FEASIBILITY_TOLERANCE` (the solver's own acceptance tolerance)
+            are skipped: a transfer into a capped dimension or across an
+            active ordering row is no available improvement.
     """
     point = _validated_point(bandwidths)
     if not 0 < relative_delta < 1:
@@ -275,6 +290,10 @@ def certify_optimum(
             moved = point.copy()
             moved[source] -= delta
             moved[target] += delta
+            if constraints is not None and not constraints.is_feasible(
+                moved, FEASIBILITY_TOLERANCE
+            ):
+                continue
             time = float(expression.evaluate(moved))
             gain = (base - time) / base if base > 0 else 0.0
             if gain > best_gain:
@@ -288,3 +307,80 @@ def certify_optimum(
         best_move=best_move,
         certified=best_gain <= tolerance,
     )
+
+
+def audit_solution(
+    expression: Expr,
+    constraints: ConstraintSet,
+    result: SolverResult,
+    cost_rates: Sequence[float] | None = None,
+    perf_bandwidths: Sequence[float] | None = None,
+) -> list[str]:
+    """The solver's optimality oracle: checks that need no second solver.
+
+    PerfOptBW is convex and PerfPerCostOptBW bilinear, so a correct solve
+    pins the objective and its optimality, not the argmin (which is not
+    unique on a flat face). The tests and ``repro bench`` both gate on:
+
+    * the point is feasible at :data:`~repro.core.constraints.
+      FEASIBILITY_TOLERANCE`;
+    * ``result.objective`` equals direct re-evaluation at the point
+      (relative :data:`REEVALUATION_RTOL`) — step time, or step time ×
+      ``cost_rates · B`` for PerfPerCostOptBW;
+    * PerfOptBW (no ``cost_rates``): the constraint-aware
+      :func:`certify_optimum` certifies the point;
+    * PerfPerCostOptBW: the product is no worse than at the EqualBW split
+      (when it is feasible) and, when given, at ``perf_bandwidths`` — the
+      PerfOptBW answer of the same problem.
+
+    Args:
+        expression: Symbolic step time the point was solved for.
+        constraints: The designer constraint set it was solved under.
+        result: The solver's answer.
+        cost_rates: ``$ per (byte/s)`` per dimension for a
+            PerfPerCostOptBW answer; ``None`` audits a PerfOptBW answer.
+        perf_bandwidths: PerfOptBW answer to compare a PerfPerCostOptBW
+            answer against, bytes/s.
+
+    Returns:
+        One message per failed check; an empty list passes.
+    """
+    point = _validated_point(result.bandwidths)
+    rates = None if cost_rates is None else np.asarray(cost_rates, dtype=float)
+
+    def value_at(bandwidths: np.ndarray) -> float:
+        step_time = float(expression.evaluate(bandwidths))
+        return step_time if rates is None else step_time * float(rates @ bandwidths)
+
+    faults = [
+        f"infeasible: {message}"
+        for message in constraints.violations(point, FEASIBILITY_TOLERANCE)
+    ]
+    direct = value_at(point)
+    if abs(result.objective - direct) > REEVALUATION_RTOL * abs(direct):
+        faults.append(
+            f"reported objective {result.objective!r} differs from its "
+            f"re-evaluation {direct!r}"
+        )
+    if rates is None:
+        certificate = certify_optimum(expression, point, constraints=constraints)
+        if not certificate.certified:
+            faults.append(
+                f"not certified: transfer {certificate.best_move} gains "
+                f"{certificate.best_gain:.3e}"
+            )
+        return faults
+    references = {}
+    if constraints.total_bandwidth is not None:
+        equal = constraints.equal_split()
+        if constraints.is_feasible(equal, FEASIBILITY_TOLERANCE):
+            references["the EqualBW split"] = equal
+    if perf_bandwidths is not None:
+        references["the PerfOptBW point"] = np.asarray(perf_bandwidths, dtype=float)
+    for name, reference in references.items():
+        bound = value_at(reference)
+        if direct > bound * (1.0 + REEVALUATION_RTOL):
+            faults.append(
+                f"time x cost {direct!r} is worse than {bound!r} at {name}"
+            )
+    return faults

@@ -15,23 +15,23 @@ same optimization with scipy, in three layers:
 2. **SLSQP with analytic gradients** — variables are scaled to GB/s
    internally so the problem is well-conditioned; seeds include the EqualBW
    split, the traffic-proportional water-filling allocation, and cost-aware
-   variants; ``trust-constr`` is the fallback when SLSQP stalls.
+   variants; a longer, looser SLSQP re-run is the fallback when a run
+   fails without stalling.
 
 3. **Multi-start for PerfPerCostOptBW** — time × cost is bilinear (the same
    nonconvexity Gurobi's QP handles); deterministic multi-start from the
    seed family recovers the global design point in practice, and the result
    records which start won.
 
-Two interchangeable kernels execute the per-seed SLSQP runs:
-
-* ``"vectorized"`` (default) — the compiled program becomes stacked
-  matrix-form constraint blocks (:mod:`repro.core.kernel`) built once and
-  shared across every seed and both schemes, driven through a slim
-  reverse-communication loop around scipy's compiled SLSQP core.
-* ``"closures"`` — the original one-Python-closure-per-constraint path,
-  rebuilt per seed. Kept as the reference implementation: the equivalence
-  suite and the perf harness (``repro bench``) assert both kernels return
-  the same design points.
+Every per-seed SLSQP run goes through one kernel: the compiled program
+becomes stacked matrix-form constraint blocks (:mod:`repro.core.kernel`),
+built once and shared across every seed and both schemes, and driven
+through a slim reverse-communication loop around scipy's compiled SLSQP
+core (or ``scipy.optimize.minimize`` over the same blocks when that core is
+unavailable). Answers are checked without a second implementation: the
+returned objective is a direct re-evaluation of the expression, and
+:func:`repro.core.sensitivity.audit_solution` is the optimality oracle the
+tests and ``repro bench`` share.
 
 A memoization tier keyed on the frozen expression —
 :func:`compile_expression`, :func:`traffic_totals`, and (in
@@ -59,9 +59,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import NonlinearConstraint, minimize
 
-from repro.core.constraints import ConstraintSet
+from repro.core.constraints import FEASIBILITY_TOLERANCE, ConstraintSet
 from repro.core.kernel import ConstraintBlocks, minimize_slsqp
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
@@ -81,9 +80,6 @@ from repro.utils.units import GBPS
 #: Internal bandwidth unit (GB/s) — keeps decision variables O(1)–O(1000).
 _SCALE = GBPS
 
-#: Solver kernel names accepted by the ``kernel=`` arguments below.
-KERNELS = ("vectorized", "closures")
-
 #: Relative objective drift past which a warm-started solve is distrusted.
 #: A warm run is accepted only when it converged (or stopped on a
 #: line-search stall of the same trajectory), its iterate is feasible, and
@@ -96,9 +92,8 @@ KERNELS = ("vectorized", "closures")
 WARM_TRUST_RTOL = 1e-4
 
 #: Seed-family truncation used by PerfPerCostOptBW's internal PerfOpt warm
-#: start on the vectorized kernel (PerfOpt is convex — any converging seed
-#: reaches the optimum; two seeds are kept as a numerical safety net).
-#: Overridable per call via ``perf_warm_starts``.
+#: start (PerfOpt is convex — any converging seed reaches the optimum; two
+#: seeds are kept as a numerical safety net).
 DEFAULT_PERF_WARM_STARTS = 2
 
 
@@ -466,118 +461,17 @@ class SolverResult:
     warm_start: str = ""
 
 
-def _scipy_constraints(
-    program: CompiledProgram, constraints: ConstraintSet
-) -> list[NonlinearConstraint | dict]:
-    """Assemble SLSQP-style constraint dicts over the scaled variables."""
-    num_dims = program.num_dims
-    rows: list[dict] = []
-
-    for row in constraints.rows:
-        coeffs = np.asarray(row.coeffs, dtype=float)
-
-        def make_fun(coeffs: np.ndarray, shift: float, sign: float) -> Callable:
-            def fun(x: np.ndarray) -> float:
-                return sign * (float(coeffs @ x[:num_dims]) - shift)
-
-            return fun
-
-        def make_jac(coeffs: np.ndarray, sign: float) -> Callable:
-            gradient = np.zeros(num_dims + program.num_aux)
-            gradient[:num_dims] = sign * coeffs
-
-            def jac(x: np.ndarray) -> np.ndarray:
-                return gradient
-
-            return jac
-
-        if row.is_equality:
-            shift = float(row.lower) / _SCALE  # type: ignore[arg-type]
-            rows.append(
-                {"type": "eq", "fun": make_fun(coeffs, shift, 1.0),
-                 "jac": make_jac(coeffs, 1.0)}
-            )
-            continue
-        if row.upper is not None:
-            shift = row.upper / _SCALE
-            rows.append(
-                {"type": "ineq", "fun": make_fun(coeffs, shift, -1.0),
-                 "jac": make_jac(coeffs, -1.0)}
-            )
-        if row.lower is not None:
-            shift = row.lower / _SCALE
-            rows.append(
-                {"type": "ineq", "fun": make_fun(coeffs, shift, 1.0),
-                 "jac": make_jac(coeffs, 1.0)}
-            )
-
-    for comm in program.comm_constraints:
-
-        def make_comm(comm: CommConstraint) -> tuple[Callable, Callable]:
-            aux_index = num_dims + comm.aux
-
-            def fun(x: np.ndarray) -> float:
-                return x[aux_index] - comm.coeff / max(x[comm.dim], 1e-12)
-
-            def jac(x: np.ndarray) -> np.ndarray:
-                gradient = np.zeros(num_dims + program.num_aux)
-                gradient[aux_index] = 1.0
-                gradient[comm.dim] = comm.coeff / max(x[comm.dim], 1e-12) ** 2
-                return gradient
-
-            return fun, jac
-
-        fun, jac = make_comm(comm)
-        rows.append({"type": "ineq", "fun": fun, "jac": jac})
-
-    for max_row in program.max_constraints:
-
-        def make_max(max_row: MaxConstraint) -> tuple[Callable, Callable]:
-            gradient = np.zeros(num_dims + program.num_aux)
-            gradient[num_dims + max_row.aux] = 1.0
-            for aux, weight in max_row.aux_weights:
-                gradient[num_dims + aux] -= weight
-
-            def fun(x: np.ndarray) -> float:
-                value = x[num_dims + max_row.aux] - max_row.const
-                for aux, weight in max_row.aux_weights:
-                    value -= weight * x[num_dims + aux]
-                return value
-
-            def jac(x: np.ndarray) -> np.ndarray:
-                return gradient
-
-            return fun, jac
-
-        fun, jac = make_max(max_row)
-        rows.append({"type": "ineq", "fun": fun, "jac": jac})
-
-    return rows
-
-
-def _variable_bounds(
-    program: CompiledProgram, constraints: ConstraintSet
-) -> list[tuple[float, float | None]]:
-    bounds: list[tuple[float, float | None]] = []
-    lower = constraints.lower_bounds / _SCALE
-    upper = constraints.upper_bounds / _SCALE
-    for dim in range(program.num_dims):
-        bounds.append((float(lower[dim]), float(upper[dim])))
-    for _ in range(program.num_aux):
-        bounds.append((0.0, None))
-    return bounds
-
-
 def build_constraint_blocks(
     program: CompiledProgram, constraints: ConstraintSet
 ) -> ConstraintBlocks:
     """Stack the program + designer rows into vectorized constraint blocks.
 
     Built **once** per compiled program and shared by every multi-start
-    seed and both optimization schemes — this replaces the per-seed
-    closure rebuild of :func:`_scipy_constraints`. Row semantics match the
-    closure path exactly: designer rows are scaled to GB/s, max-epigraph
-    rows join the linear inequality block, and comm rows stay hyperbolic.
+    seed and both optimization schemes. Designer rows are scaled to GB/s
+    (an equality row joins the equality block; an inequality row
+    contributes its upper side, then its lower side, to the linear block),
+    max-epigraph rows follow them in the linear block, and comm rows stay
+    hyperbolic.
     """
     num_dims = program.num_dims
     num_vars = num_dims + program.num_aux
@@ -640,26 +534,20 @@ def build_constraint_blocks(
 
 def _solve_from_seed(
     program: CompiledProgram,
-    constraints: ConstraintSet,
+    blocks: ConstraintBlocks,
     objective: Callable[[np.ndarray], float],
     objective_grad: Callable[[np.ndarray], np.ndarray],
     seed: np.ndarray,
-    blocks: ConstraintBlocks | None = None,
 ) -> tuple[np.ndarray, float, bool, str]:
-    """One SLSQP run (long-retry fallback) from one bandwidth seed.
-
-    With ``blocks`` the run goes through the vectorized kernel; without,
-    it rebuilds the per-constraint closures (the reference path).
-    """
+    """One SLSQP run (long-retry fallback) from one bandwidth seed."""
     tracer = obs_trace.get_tracer()
     if tracer is obs_trace.NULL_TRACER:
         return _solve_from_seed_impl(
-            program, constraints, objective, objective_grad, seed, blocks
+            program, blocks, objective, objective_grad, seed
         )
-    kernel = "vectorized" if blocks is not None else "closures"
-    with tracer.span("solve.seed", attrs={"kernel": kernel}) as span:
+    with tracer.span("solve.seed") as span:
         result = _solve_from_seed_impl(
-            program, constraints, objective, objective_grad, seed, blocks
+            program, blocks, objective, objective_grad, seed
         )
         span.set("converged", result[2])
         span.set("path", result[3])
@@ -668,64 +556,33 @@ def _solve_from_seed(
 
 def _solve_from_seed_impl(
     program: CompiledProgram,
-    constraints: ConstraintSet,
+    blocks: ConstraintBlocks,
     objective: Callable[[np.ndarray], float],
     objective_grad: Callable[[np.ndarray], np.ndarray],
     seed: np.ndarray,
-    blocks: ConstraintBlocks | None,
 ) -> tuple[np.ndarray, float, bool, str]:
     seed_scaled = seed / _SCALE
     x0 = np.concatenate([seed_scaled, program.initial_aux(seed_scaled) * 1.0001])
 
-    if blocks is not None:
-        result = minimize_slsqp(
-            objective, objective_grad, x0, blocks, maxiter=400, ftol=1e-12
-        )
-        if result.success:
-            return result.x, result.fun, True, "slsqp"
-        if result.status == 8:
-            # "Positive directional derivative for linesearch": the line
-            # search hit machine precision. SLSQP's iterate path does not
-            # depend on ftol (it only gates the stopping tests), so the
-            # closure path's looser re-solve from the same start stops at
-            # an *earlier* point of this same trajectory — the stall
-            # iterate is already at least as optimized. Keep it as a
-            # candidate; `_finish` re-checks feasibility and true value.
-            return result.x, result.fun, False, f"stalled: {result.message}"
-        fallback = minimize_slsqp(
-            objective, objective_grad, x0, blocks, maxiter=1500, ftol=1e-10
-        )
-        if fallback.success:
-            return fallback.x, fallback.fun, True, "slsqp-long"
-        return result.x, result.fun, False, f"failed: {result.message}"
-
-    scipy_rows = _scipy_constraints(program, constraints)
-    bounds = _variable_bounds(program, constraints)
-
-    result = minimize(
-        objective,
-        x0,
-        jac=objective_grad,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=scipy_rows,
-        options={"maxiter": 400, "ftol": 1e-12},
+    result = minimize_slsqp(
+        objective, objective_grad, x0, blocks, maxiter=400, ftol=1e-12
     )
     if result.success:
-        return result.x, float(result.fun), True, "slsqp"
-
-    fallback = minimize(
-        objective,
-        x0,
-        jac=objective_grad,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=scipy_rows,
-        options={"maxiter": 1500, "ftol": 1e-10},
+        return result.x, result.fun, True, "slsqp"
+    if result.status == 8:
+        # "Positive directional derivative for linesearch": the line search
+        # hit machine precision. SLSQP's iterate path does not depend on
+        # ftol (it only gates the stopping tests), so the looser re-solve
+        # below would stop at an *earlier* point of this same trajectory —
+        # the stall iterate is already at least as optimized. Keep it as a
+        # candidate; `_finish` re-checks feasibility and true value.
+        return result.x, result.fun, False, f"stalled: {result.message}"
+    fallback = minimize_slsqp(
+        objective, objective_grad, x0, blocks, maxiter=1500, ftol=1e-10
     )
     if fallback.success:
-        return fallback.x, float(fallback.fun), True, "slsqp-long"
-    return result.x, float(result.fun), False, f"failed: {result.message}"
+        return fallback.x, fallback.fun, True, "slsqp-long"
+    return result.x, result.fun, False, f"failed: {result.message}"
 
 
 def _finish(
@@ -739,7 +596,7 @@ def _finish(
     best: tuple[np.ndarray, float, bool, str] | None = None
     for x, value, success, message in candidates:
         bandwidths = np.maximum(x[: program.num_dims] * _SCALE, 0.0)
-        if not constraints.is_feasible(bandwidths, tolerance=1e-4):
+        if not constraints.is_feasible(bandwidths, FEASIBILITY_TOLERANCE):
             continue
         true_value = evaluate_true(bandwidths)
         if best is None or true_value < best[1]:
@@ -781,16 +638,16 @@ def _try_warm(
     evaluate_true: Callable[[np.ndarray], float],
     warm_seed: np.ndarray,
     seeds: list[np.ndarray],
-    blocks: ConstraintBlocks | None,
-    trust_rtol: float,
+    blocks: ConstraintBlocks,
 ) -> tuple[tuple[np.ndarray, float, bool, str], str]:
     """One SLSQP run from the projected warm point, trust-checked.
 
     Returns ``(candidate, "")`` when the run is trustworthy: it either
     converged or stopped on a line-search stall (a point of the same
     iterate trajectory — see :func:`_solve_from_seed`), its iterate is
-    feasible, and its *re-evaluated* objective is no worse (within the
-    trust rtol) than the tightest cheap floor available — the best raw
+    feasible, and its *re-evaluated* objective is no worse (within
+    :data:`WARM_TRUST_RTOL`, read at call time) than the tightest cheap
+    floor available — the best raw
     seed evaluation *and* the projected warm seed's own evaluation, so an
     SLSQP run that wanders into a stale basin below its feasible starting
     point is rejected. Returns ``(candidate, reason)`` when the caller
@@ -807,12 +664,12 @@ def _try_warm(
     if tracer is obs_trace.NULL_TRACER:
         return _try_warm_impl(
             program, constraints, objective, objective_grad,
-            evaluate_true, warm_seed, seeds, blocks, trust_rtol,
+            evaluate_true, warm_seed, seeds, blocks,
         )
     with tracer.span("solve.warm_trust") as span:
         candidate, reason = _try_warm_impl(
             program, constraints, objective, objective_grad,
-            evaluate_true, warm_seed, seeds, blocks, trust_rtol,
+            evaluate_true, warm_seed, seeds, blocks,
         )
         span.set("accepted", not reason)
         if reason:
@@ -828,23 +685,22 @@ def _try_warm_impl(
     evaluate_true: Callable[[np.ndarray], float],
     warm_seed: np.ndarray,
     seeds: list[np.ndarray],
-    blocks: ConstraintBlocks | None,
-    trust_rtol: float,
+    blocks: ConstraintBlocks,
 ) -> tuple[tuple[np.ndarray, float, bool, str], str]:
     candidate = _solve_from_seed(
-        program, constraints, objective, objective_grad, warm_seed, blocks=blocks
+        program, blocks, objective, objective_grad, warm_seed
     )
     if not candidate[2] and not candidate[3].startswith("stalled"):
         return candidate, "solver-failure"
     bandwidths = np.maximum(candidate[0][: program.num_dims] * _SCALE, 0.0)
-    if not constraints.is_feasible(bandwidths, tolerance=1e-4):
+    if not constraints.is_feasible(bandwidths, FEASIBILITY_TOLERANCE):
         return candidate, "infeasible-iterate"
     warm_true = evaluate_true(bandwidths)
     floor = min(
         min(evaluate_true(seed) for seed in seeds),
         evaluate_true(warm_seed),
     )
-    if warm_true > floor * (1.0 + trust_rtol):
+    if warm_true > floor * (1.0 + WARM_TRUST_RTOL):
         return candidate, "drift"
     return candidate, ""
 
@@ -860,13 +716,6 @@ def _checkpoint(should_stop: Callable[[], bool] | None, context: str) -> None:
     """
     if should_stop is not None and should_stop():
         raise JobCancelled(f"optimization cancelled {context}")
-
-
-def _check_kernel(kernel: str) -> None:
-    if kernel not in KERNELS:
-        raise OptimizationError(
-            f"unknown solver kernel {kernel!r}; choose from {KERNELS}"
-        )
 
 
 def clear_solver_caches() -> None:
@@ -941,10 +790,8 @@ def _observed_solve(scheme: str):
 def minimize_training_time(
     expr: Expr,
     constraints: ConstraintSet,
-    kernel: str = "vectorized",
     max_starts: int | None = None,
     warm_start: Sequence[float] | None = None,
-    trust_rtol: float | None = None,
     should_stop: Callable[[], bool] | None = None,
     _blocks: ConstraintBlocks | None = None,
 ) -> SolverResult:
@@ -953,7 +800,6 @@ def minimize_training_time(
     Args:
         expr: Training-time expression.
         constraints: Designer constraint set.
-        kernel: ``"vectorized"`` or ``"closures"``.
         max_starts: Cap on the multi-start seed family; ``None`` keeps every
             seed (the historical behavior). The convex program reaches the
             optimum from any converging seed, so truncation is a speed knob,
@@ -961,12 +807,9 @@ def minimize_training_time(
         warm_start: Prior optimum (bytes/s) used as a continuation seed; the
             multi-start family is skipped when the warm run passes the trust
             check. ``None`` is the cold path (default).
-        trust_rtol: Relative drift tolerance of the trust check;
-            ``None`` reads :data:`WARM_TRUST_RTOL` at call time.
         should_stop: Cooperative cancellation predicate, polled between
             multi-start seeds; a true return raises :class:`JobCancelled`.
     """
-    _check_kernel(kernel)
     _checkpoint(should_stop, "before the first start")
     program = compile_expression(expr, constraints.num_dims)
     if program.num_aux == 0:
@@ -986,7 +829,7 @@ def minimize_training_time(
         )
 
     blocks = _blocks
-    if blocks is None and kernel == "vectorized":
+    if blocks is None:
         blocks = build_constraint_blocks(program, constraints)
 
     gradient = np.concatenate([np.zeros(program.num_dims), program.objective_weights])
@@ -1009,15 +852,13 @@ def minimize_training_time(
     warm_tag = ""
     warm_candidates: list[tuple[np.ndarray, float, bool, str]] = []
     if warm_start is not None:
-        if trust_rtol is None:
-            trust_rtol = WARM_TRUST_RTOL
         warm_seed = project_warm_start(warm_start, constraints)
         if warm_seed is None:
             warm_tag = "rejected:unprojectable"
         else:
             candidate, reason = _try_warm(
                 program, constraints, objective, objective_grad,
-                evaluate_true, warm_seed, seeds, blocks, trust_rtol,
+                evaluate_true, warm_seed, seeds, blocks,
             )
             if not reason:
                 # The projected warm seed joins the fallback pool: the
@@ -1042,8 +883,7 @@ def minimize_training_time(
         _checkpoint(should_stop, f"before start {index + 1} of {len(seeds)}")
         candidates.append(
             _solve_from_seed(
-                program, constraints, objective, objective_grad, seed,
-                blocks=blocks,
+                program, blocks, objective, objective_grad, seed
             )
         )
     # The seeds themselves are feasible fallbacks (aux tight = true value).
@@ -1060,12 +900,8 @@ def minimize_time_cost_product(
     expr: Expr,
     constraints: ConstraintSet,
     cost_rates: Sequence[float],
-    fixed_cost: float = 0.0,
-    kernel: str = "vectorized",
     max_starts: int | None = None,
     warm_start: Sequence[float] | None = None,
-    trust_rtol: float | None = None,
-    perf_warm_starts: int | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> SolverResult:
     """PerfPerCostOptBW: minimize time × dollar-cost (bilinear objective).
@@ -1076,25 +912,15 @@ def minimize_time_cost_product(
         cost_rates: ``$ per (byte/s)`` per dimension — network-cost slope,
             *already multiplied by the NPU count* (see
             :func:`repro.cost.estimator.cost_rates`).
-        fixed_cost: Bandwidth-independent cost offset in dollars.
-        kernel: ``"vectorized"`` (matrix-form blocks, default) or
-            ``"closures"`` (the per-constraint reference path).
         max_starts: Cap on the multi-start seed family (the PerfOpt warm
             start is appended on top); ``None`` keeps every seed.
         warm_start: Prior optimum (bytes/s) used as a continuation seed;
             a trusted warm run skips both the seed fan-out *and* the inner
             PerfOpt warm-start solve. ``None`` is the cold path (default).
-        trust_rtol: Relative drift tolerance of the trust check;
-            ``None`` reads :data:`WARM_TRUST_RTOL` at call time.
-        perf_warm_starts: Seed cap for the internal PerfOpt warm-start
-            solve; ``None`` picks :data:`DEFAULT_PERF_WARM_STARTS` on the
-            vectorized kernel and the full family on the closure kernel
-            (the historical behavior).
         should_stop: Cooperative cancellation predicate, polled between
             multi-start seeds (including the inner PerfOpt solve's); a
             true return raises :class:`JobCancelled`.
     """
-    _check_kernel(kernel)
     _checkpoint(should_stop, "before the first start")
     program = compile_expression(expr, constraints.num_dims)
     rates = np.asarray(cost_rates, dtype=float)
@@ -1105,15 +931,13 @@ def minimize_time_cost_product(
     rates_scaled = rates * _SCALE  # $ per GB/s
 
     blocks: ConstraintBlocks | None = None
-    if kernel == "vectorized" and program.num_aux > 0:
+    if program.num_aux > 0:
         blocks = build_constraint_blocks(program, constraints)
 
     time_evaluator = vector_evaluator(simplify(expr))
 
     def evaluate_true(bandwidths: np.ndarray) -> float:
-        return time_evaluator(bandwidths) * (
-            fixed_cost + float(rates @ bandwidths)
-        )
+        return time_evaluator(bandwidths) * float(rates @ bandwidths)
 
     seeds = build_seeds(expr, constraints, cost_rates=rates)
     if max_starts is not None:
@@ -1130,7 +954,7 @@ def minimize_time_cost_product(
     def objective(x: np.ndarray) -> float:
         return (
             (objective_const + objective_weights @ x[num_dims:])
-            * (fixed_cost + rates_scaled @ x[:num_dims])
+            * (rates_scaled @ x[:num_dims])
             / scale
         )
 
@@ -1141,7 +965,7 @@ def minimize_time_cost_product(
 
     def objective_grad(x: np.ndarray) -> np.ndarray:
         time_value = objective_const + objective_weights @ x[num_dims:]
-        cost_value = fixed_cost + rates_scaled @ x[:num_dims]
+        cost_value = rates_scaled @ x[:num_dims]
         gradient_buffer[:num_dims] = time_value * rates_scaled / scale
         gradient_buffer[num_dims:] = cost_value * objective_weights / scale
         return gradient_buffer
@@ -1152,15 +976,13 @@ def minimize_time_cost_product(
     warm_tag = ""
     warm_candidates: list[tuple[np.ndarray, float, bool, str]] = []
     if warm_start is not None and program.num_aux > 0:
-        if trust_rtol is None:
-            trust_rtol = WARM_TRUST_RTOL
         warm_seed = project_warm_start(warm_start, constraints)
         if warm_seed is None:
             warm_tag = "rejected:unprojectable"
         else:
             candidate, reason = _try_warm(
                 program, constraints, objective, objective_grad,
-                evaluate_true, warm_seed, seeds, blocks, trust_rtol,
+                evaluate_true, warm_seed, seeds, blocks,
             )
             if not reason:
                 # As in minimize_training_time: the projected warm seed is
@@ -1185,17 +1007,13 @@ def minimize_time_cost_product(
     # compiled program and constraint blocks are shared with that inner
     # solve, so the warm start never recompiles anything — and since
     # PerfOpt is convex (every converging seed reaches the same optimum),
-    # the vectorized kernel runs it from the two strongest seeds only.
+    # it runs from the two strongest seeds only.
     try:
         perf_result = minimize_training_time(
             expr,
             constraints,
-            kernel=kernel,
             _blocks=blocks,
-            max_starts=(
-                perf_warm_starts if perf_warm_starts is not None
-                else (DEFAULT_PERF_WARM_STARTS if kernel == "vectorized" else None)
-            ),
+            max_starts=DEFAULT_PERF_WARM_STARTS,
             should_stop=should_stop,
         )
         seeds.append(np.asarray(perf_result.bandwidths, dtype=float))
@@ -1220,8 +1038,7 @@ def minimize_time_cost_product(
         _checkpoint(should_stop, f"before start {index + 1} of {len(seeds)}")
         candidates.append(
             _solve_from_seed(
-                program, constraints, objective, objective_grad, seed,
-                blocks=blocks,
+                program, blocks, objective, objective_grad, seed
             )
         )
     candidates.extend(_seed_fallbacks(program, seeds, objective))

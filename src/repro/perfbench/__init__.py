@@ -1,7 +1,7 @@
 """Performance microbenchmark harness (``repro bench``).
 
 Times the solver/compile/sweep hot paths on Table-II-scale workloads,
-checks vectorized-vs-closure solver equivalence, and writes the
+checks every solver answer with the optimality oracle, and writes the
 ``BENCH_solver.json`` artifact that records the perf trajectory across PRs.
 :mod:`repro.perfbench.sweep` benchmarks whole grids — continuation (warm)
 vs cold — into ``BENCH_sweep.json`` with a per-cell equivalence gate.

@@ -4,20 +4,19 @@ Every benchmark here is an *end-to-end* timing of a public code path at
 Table-II scale, never a synthetic kernel:
 
 * ``solver_perf`` / ``solver_perf_per_cost`` — one full
-  ``minimize_training_time`` / ``minimize_time_cost_product`` call per
-  kernel, caches cleared before each repetition so both kernels pay the
-  cold path. The closure kernel is the pre-vectorization reference; the
-  reported ``speedup`` is the headline number.
+  ``minimize_training_time`` / ``minimize_time_cost_product`` call, timed
+  cold (caches cleared before each repetition) and warm (memoization tier
+  populated).
 * ``compile_memo`` — cold vs. warm ``simplify`` + ``compile_expression`` +
   ``traffic_totals``, demonstrating the memoization tier.
 * ``sweep`` — a small cached ``run_sweep`` grid through the explore engine.
 
-Solver benchmarks double as an equivalence gate: when both kernels
-converge, bandwidths must agree within ``tolerance`` (rtol); when either
-stalls, the returned objectives must agree within ``value_tolerance`` —
-line-search stall iterates sit on flat ridges where the bandwidth vector is
-not unique, but the achieved objective is. ``repro bench`` fails the run on
-any drift, which is what the CI smoke job enforces.
+Solver benchmarks double as a correctness gate: each answer must pass the
+optimality oracle the solver tests use
+(:func:`repro.core.sensitivity.audit_solution` — feasibility, objective
+re-evaluation, the pairwise-transfer certificate for PerfOpt, and the
+PerfOpt/EqualBW floors for PerfPerCost). ``repro bench`` fails the run on
+any oracle fault, which is what the CI smoke job enforces.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import numpy as np
 
 from repro.api.scenario import build_scenario
 from repro.api.service import get_service
+from repro.core.sensitivity import audit_solution
 from repro.core.solver import (
     clear_solver_caches,
     compile_expression,
@@ -45,11 +45,15 @@ from repro.utils.errors import ReproError
 from repro.utils.units import gbps
 
 #: Bump when the BENCH_solver.json layout changes.
-BENCH_SCHEMA_VERSION = 1
+#: v2: one solver kernel — no ``closures_s`` / ``speedup_*`` /
+#: ``equivalence``; records carry the oracle-checked ``objective``.
+BENCH_SCHEMA_VERSION = 2
 
 
 class BenchEquivalenceError(ReproError):
-    """The vectorized and closure kernels disagreed on a design point."""
+    """A benchmarked answer failed its correctness gate: the optimality
+    oracle (solver bench) or warm-vs-cold agreement (sweep and strategy
+    benches)."""
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,6 @@ class BenchConfig:
     topology: str = "4D-4K"
     total_bw_gbps: float = 500.0
     repeats: int = 3
-    tolerance: float = 1e-6  # bandwidth rtol when both kernels converge
-    value_tolerance: float = 1e-2  # objective rtol when either kernel stalls
     sweep_budgets_gbps: tuple[float, ...] = (300.0, 500.0, 1000.0)
     quick: bool = False
     label: str = ""
@@ -85,7 +87,7 @@ def _build_problem(config: BenchConfig):
 
     The benchmark states its problem as a :class:`~repro.api.scenario
     .Scenario` and pulls the compiled engine from the service, exactly as
-    production requests do; only the solver kernels below are hand-timed.
+    production requests do; only the solver calls below are hand-timed.
     """
     scenario = build_scenario(
         topology=config.topology,
@@ -109,8 +111,7 @@ def _time_solves(solve, repeats: int, cold: bool) -> tuple[float, Any]:
     """Best-of-N wall time of one end-to-end solve.
 
     ``cold=True`` clears the memoization tier before every repetition (the
-    pre-PR closure path had no caches, so this is its faithful cost, and
-    the first-ever solve of the vectorized path). ``cold=False`` measures
+    first-ever solve of a workload). ``cold=False`` measures
     the steady state — what every sweep cell after the first pays, with
     ``simplify``/``compile_expression``/``traffic_totals`` warm.
     """
@@ -128,76 +129,44 @@ def _time_solves(solve, repeats: int, cold: bool) -> tuple[float, Any]:
     return best, result
 
 
-def _equivalence(reference, candidate, config: BenchConfig) -> dict:
-    """Compare two SolverResults; raises on drift past the tolerances."""
-    ref_bw = np.asarray(reference.bandwidths)
-    cand_bw = np.asarray(candidate.bandwidths)
-    bw_rel = float(
-        np.max(np.abs(ref_bw - cand_bw) / np.maximum(np.abs(ref_bw), 1e-9))
-    )
-    obj_rel = float(
-        abs(reference.objective - candidate.objective)
-        / max(abs(reference.objective), 1e-30)
-    )
-    converged = reference.success and candidate.success
-    ok = (bw_rel <= config.tolerance) if converged else (
-        obj_rel <= config.value_tolerance
-    )
-    report = {
-        "both_converged": converged,
-        "max_bandwidth_rel_diff": bw_rel,
-        "objective_rel_diff": obj_rel,
-        "ok": ok,
-    }
-    if not ok:
-        raise BenchEquivalenceError(
-            "solver kernels disagree: "
-            f"bandwidth rel diff {bw_rel:.3e}, objective rel diff {obj_rel:.3e} "
-            f"(converged={converged}, tolerance={config.tolerance:g}/"
-            f"{config.value_tolerance:g})"
-        )
-    return report
-
-
 def bench_solver(config: BenchConfig) -> list[dict]:
-    """Closure-vs-vectorized end-to-end timings for both schemes."""
+    """Cold and warm end-to-end solver timings, gated on the oracle."""
     expression, make_constraints, rates = _build_problem(config)
-    records = []
     schemes = [
         (
             "solver_perf",
-            lambda kernel: minimize_training_time(
-                expression, make_constraints(), kernel=kernel
-            ),
+            lambda: minimize_training_time(expression, make_constraints()),
+            None,
         ),
         (
             "solver_perf_per_cost",
-            lambda kernel: minimize_time_cost_product(
-                expression, make_constraints(), rates, kernel=kernel
+            lambda: minimize_time_cost_product(
+                expression, make_constraints(), rates
             ),
+            rates,
         ),
     ]
-    for name, solve in schemes:
-        closures_s, closures_result = _time_solves(
-            lambda: solve("closures"), config.repeats, cold=True
+    records = []
+    perf_bandwidths = None
+    for name, solve, cost_rates in schemes:
+        cold_s, result = _time_solves(solve, config.repeats, cold=True)
+        warm_s, _ = _time_solves(solve, config.repeats, cold=False)
+        faults = audit_solution(
+            expression, make_constraints(), result,
+            cost_rates=cost_rates, perf_bandwidths=perf_bandwidths,
         )
-        vectorized_cold_s, vectorized_result = _time_solves(
-            lambda: solve("vectorized"), config.repeats, cold=True
-        )
-        vectorized_warm_s, _ = _time_solves(
-            lambda: solve("vectorized"), config.repeats, cold=False
-        )
+        if faults:
+            raise BenchEquivalenceError(
+                f"{name} failed the optimality oracle: {'; '.join(faults)}"
+            )
+        if cost_rates is None:
+            perf_bandwidths = result.bandwidths
         records.append(
             {
                 "name": name,
-                "closures_s": closures_s,
-                "vectorized_cold_s": vectorized_cold_s,
-                "vectorized_warm_s": vectorized_warm_s,
-                "speedup_cold": closures_s / max(vectorized_cold_s, 1e-12),
-                "speedup_warm": closures_s / max(vectorized_warm_s, 1e-12),
-                "equivalence": _equivalence(
-                    closures_result, vectorized_result, config
-                ),
+                "vectorized_cold_s": cold_s,
+                "vectorized_warm_s": warm_s,
+                "objective": result.objective,
             }
         )
     return records
@@ -261,9 +230,9 @@ def bench_sweep(config: BenchConfig) -> dict:
 def run_benchmarks(config: BenchConfig) -> dict:
     """Run every benchmark; returns the ``BENCH_solver.json`` payload.
 
-    Equivalence drift raises :class:`BenchEquivalenceError` and the
-    in-progress payload is discarded — drifted timings cannot be trusted,
-    so no artifact escapes (the CLI maps this to exit code 3).
+    An oracle fault raises :class:`BenchEquivalenceError` and the
+    in-progress payload is discarded — timings of a wrong answer cannot be
+    trusted, so no artifact escapes (the CLI maps this to exit code 3).
     """
     artifact: dict = {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -273,8 +242,6 @@ def run_benchmarks(config: BenchConfig) -> dict:
             "topology": config.topology,
             "total_bw_gbps": config.total_bw_gbps,
             "repeats": config.repeats,
-            "tolerance": config.tolerance,
-            "value_tolerance": config.value_tolerance,
             "quick": config.quick,
             "label": config.label,
         },
@@ -307,22 +274,15 @@ def format_report(artifact: dict) -> str:
         f"{artifact['config']['topology']} @ "
         f"{artifact['config']['total_bw_gbps']:.0f} GB/s "
         f"(repeats={artifact['config']['repeats']})",
-        f"{'benchmark':<22} {'closures':>10} {'vec cold':>9} {'vec warm':>9} "
-        f"{'cold':>6} {'warm':>6}",
+        f"{'benchmark':<22} {'cold':>10} {'warm':>10}",
     ]
     for bench in artifact["benchmarks"]:
         name = bench["name"]
         if name.startswith("solver_"):
-            eq = bench["equivalence"]
-            tag = "ok" if eq["ok"] else "DRIFT"
             lines.append(
-                f"{name:<22} {bench['closures_s'] * 1e3:>8.1f}ms "
-                f"{bench['vectorized_cold_s'] * 1e3:>7.1f}ms "
-                f"{bench['vectorized_warm_s'] * 1e3:>7.1f}ms "
-                f"{bench['speedup_cold']:>5.2f}x {bench['speedup_warm']:>5.2f}x"
-                f"  equivalence {tag} "
-                f"(bw {eq['max_bandwidth_rel_diff']:.1e}, "
-                f"obj {eq['objective_rel_diff']:.1e})"
+                f"{name:<22} {bench['vectorized_cold_s'] * 1e3:>8.1f}ms "
+                f"{bench['vectorized_warm_s'] * 1e3:>8.1f}ms"
+                f"  oracle ok (objective {bench['objective']:.6g})"
             )
         elif name == "compile_memo":
             lines.append(

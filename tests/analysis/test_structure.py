@@ -92,6 +92,35 @@ class TestBindingSetAgreement:
         assert certificate.best_gain > 0
 
 
+class TestConstraintAwareCertificate:
+    """Probes the constraint set rejects are not available improvements."""
+
+    def test_capped_optimum_certifies_and_perturbation_does_not(self):
+        service = LibraService()
+        scenario = build_scenario(
+            "3D-512", ["MoE-1T"], total_bw_gbps=400.0, dim_caps_gbps=[(2, 60.0)]
+        )
+        constraints = scenario.constraints
+        response = service.submit(OptimizeRequest(scenario=scenario))
+        expression = service.engine(scenario).combined_expression()
+        point = list(response.point.bandwidths)
+        assert point[2] == pytest.approx(gbps(60.0), rel=1e-6)  # cap binds
+
+        structure = bottleneck_structure(expression, point, constraints)
+        assert structure.certificate["certified"], structure.certificate
+        # Without the constraint set, the transfer into the capped
+        # dimension reads as a gain.
+        assert not certify_optimum(expression, point).certified
+
+        shift = 0.05 * point[0]
+        point[0] -= shift
+        point[1] += shift
+        assert constraints.is_feasible(point)
+        perturbed = bottleneck_structure(expression, point, constraints)
+        assert not perturbed.certificate["certified"]
+        assert perturbed.certificate["best_move"] == [1, 0]
+
+
 class TestTransferMatrix:
     @settings(deadline=None, max_examples=25)
     @given(

@@ -11,6 +11,8 @@ from repro.api.requests import (
     BatchRequest,
     OptimizeRequest,
     OptimizeResponse,
+    request_from_dict,
+    request_to_dict,
 )
 from repro.api.scenario import build_scenario
 from repro.api.service import LibraService, get_service
@@ -98,13 +100,24 @@ class TestResponses:
 
     def test_request_round_trips(self):
         scenario = build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
-        request = OptimizeRequest(
-            scenario=scenario, scheme="perf-per-cost", kernel="closures"
-        )
+        request = OptimizeRequest(scenario=scenario, scheme="perf-per-cost")
         rebuilt = OptimizeRequest.from_dict(json.loads(json.dumps(request.to_dict())))
         assert rebuilt.scenario.key() == scenario.key()
         assert rebuilt.scheme is Scheme.PERF_PER_COST_OPT
-        assert rebuilt.kernel == "closures"
+
+    def test_v5_payload_with_kernel_key_parses(self):
+        """Payloads and job records written while the solver had a
+        ``kernel`` choice still load; the key is ignored."""
+        scenario = build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
+        request = OptimizeRequest(scenario=scenario, scheme="perf-per-cost")
+        payload = json.loads(json.dumps(request.to_dict()))
+        assert payload["schema_version"] == 5
+        assert "kernel" not in payload
+        payload["kernel"] = "closures"
+        assert OptimizeRequest.from_dict(payload).to_dict() == request.to_dict()
+        envelope = request_to_dict(request)
+        envelope["request"]["kernel"] = "closures"
+        assert request_from_dict(envelope).to_dict() == request.to_dict()
 
     def test_request_round_trips_continuation_fields(self):
         scenario = build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)

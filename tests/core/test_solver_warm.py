@@ -112,15 +112,18 @@ class TestWarmColdEquivalence:
         assert prior.starts > 1  # the cold path fans out
 
     @pytest.mark.parametrize("scheme", ["perf", "perf-per-cost"])
-    def test_forced_distrust_falls_back_to_full_fanout(self, scheme):
-        """trust_rtol=-1 makes every warm run fail the trust check, so the
-        solve must fan out cold and still return the cold answer."""
+    def test_forced_distrust_falls_back_to_full_fanout(self, scheme, monkeypatch):
+        """A trust rtol of -1 makes every warm run fail the trust check, so
+        the solve must fan out cold and still return the cold answer."""
+        import repro.core.solver as solver
+
         expression, rates, num_dims = _problem("Turing-NLG")
         prior = _solve(expression, rates, num_dims, scheme, 300.0)
         cold = _solve(expression, rates, num_dims, scheme, 360.0)
+        monkeypatch.setattr(solver, "WARM_TRUST_RTOL", -1.0)
         rejected = _solve(
             expression, rates, num_dims, scheme, 360.0,
-            warm=np.asarray(prior.bandwidths), trust_rtol=-1.0,
+            warm=np.asarray(prior.bandwidths),
         )
         assert rejected.warm_start == "rejected:drift"
         assert rejected.starts > 1
