@@ -35,6 +35,7 @@ workloads, cost, training, and core — never :mod:`repro.explore`.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import lru_cache
 from typing import Any
 
 from repro.core.results import Scheme
@@ -229,8 +230,28 @@ def resolve_topology(name_or_notation: str) -> MultiDimNetwork:
 
 
 def resolve_workload(name: str, num_npus: int) -> Workload:
-    """A workload from a registered preset name at the given system size."""
-    return WORKLOADS.build(name, num_npus)
+    """A workload from a registered preset name at the given system size.
+
+    Memoized (:func:`_built_workload`): every request, sweep cell and
+    scenario file naming the same preset at the same size shares one
+    instance, and with it the instance's encoded content key.
+    """
+    return _built_workload(WORKLOADS.get(name), name, num_npus)
+
+
+@lru_cache(maxsize=64)
+def _built_workload(
+    factory: Callable[..., Any], name: str, num_npus: int
+) -> Workload:
+    """One preset workload per (factory, name, size).
+
+    Keyed on the registered factory object, so re-registering a name
+    (``overwrite=True``) builds afresh instead of serving the old entry's
+    workload. Builders are pure functions of the size and workloads are
+    immutable, so sharing an instance is safe. Failures propagate
+    uncached.
+    """
+    return factory(num_npus)
 
 
 def resolve_cost_model(name: str) -> CostModel:

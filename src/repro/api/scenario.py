@@ -210,14 +210,17 @@ class Scenario:
         """Content-identity payload built from the model ``canonical()`` hooks.
 
         Display names and serialization provenance (preset vs inline) are
-        excluded; anything that changes a solve's answer is included.
+        excluded; anything that changes a solve's answer is included. Each
+        workload appears as its pre-encoded
+        :class:`~repro.utils.canonical.Encoded` fragment, so encode the
+        payload with :func:`~repro.utils.canonical.canonical_json`.
         """
         cost_model = self.cost_model or default_cost_model()
         compute_model = self.compute_model or a100_compute_model()
         return {
             "network": self.network.canonical(),
             "workloads": [
-                {"workload": entry.workload.canonical(), "weight": entry.weight}
+                {"workload": entry.workload.encoded(), "weight": entry.weight}
                 for entry in self.workloads
             ],
             "constraints": (

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,8 +93,6 @@ class ConstraintSet:
         self._lower_bounds = np.full(num_dims, min_bandwidth)
         self._upper_bounds = np.full(num_dims, DEFAULT_MAX_BANDWIDTH)
         self.total_bandwidth: float | None = None
-        self._feasible_point: np.ndarray | None = None
-        self._feasible_key: tuple | None = None
 
     # -- builders ------------------------------------------------------------
 
@@ -356,67 +355,81 @@ class ConstraintSet:
         """A strictly feasible bandwidth vector, via linear programming.
 
         Used to seed the nonlinear solver when the constraint set is more
-        intricate than a single budget row. The LP result is cached on the
-        instance (invalidated by builder calls), so back-to-back solves
-        over one constraint set — e.g. the PerfPerCost warm start — pay for
-        it once.
+        intricate than a single budget row. The LP is memoized on its exact
+        content (:func:`feasible_point`), so every set with the same bounds
+        and rows — the PerfPerCost warm start, the other scheme or strategy
+        at the same budget — pays for HiGHS once.
         """
-        key = (
-            len(self.rows),
-            self._lower_bounds.tobytes(),
-            self._upper_bounds.tobytes(),
-        )
-        if self._feasible_point is not None and key == self._feasible_key:
-            return self._feasible_point.copy()
-        from scipy.optimize import linprog
-
-        num = self.num_dims
-        # Feasibility LP with a slack-maximizing twist: maximize the margin s
-        # subject to every inequality having slack >= s (equalities exact).
-        a_ub: list[list[float]] = []
-        b_ub: list[float] = []
-        a_eq: list[list[float]] = []
-        b_eq: list[float] = []
-        for row in self.rows:
-            coeffs = list(row.coeffs)
-            scale = max(float(np.abs(row.coeffs).sum()), 1e-12)
-            if row.is_equality:
-                a_eq.append(coeffs + [0.0])
-                b_eq.append(float(row.lower))  # type: ignore[arg-type]
-                continue
-            if row.upper is not None:
-                a_ub.append(coeffs + [scale])
-                b_ub.append(row.upper)
-            if row.lower is not None:
-                a_ub.append([-c for c in coeffs] + [scale])
-                b_ub.append(-row.lower)
-        bounds = [
-            (self._lower_bounds[dim], self._upper_bounds[dim]) for dim in range(num)
-        ]
-        # The slack margin must be bounded or a constraint set with only
-        # equality rows (where the slack never appears) makes the LP
-        # unbounded. Any finite cap works; it only shapes the interior point.
-        bounds.append((0.0, float(self._upper_bounds.max())))
-        objective = [0.0] * num + [-1.0]
-        result = linprog(
-            objective,
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=bounds,
-            method="highs",
-        )
-        if not result.success:
-            raise OptimizationError(
-                f"constraint set is infeasible: {result.message}"
-            )
-        self._feasible_point = np.asarray(result.x[:num], dtype=float)
-        self._feasible_key = key
-        return self._feasible_point.copy()
+        rows = tuple((row.coeffs, row.lower, row.upper) for row in self.rows)
+        return feasible_point(
+            self.num_dims,
+            tuple(self._lower_bounds.tolist()),
+            tuple(self._upper_bounds.tolist()),
+            rows,
+        ).copy()
 
     def _check_dim(self, dim: int) -> None:
         if not 0 <= dim < self.num_dims:
             raise ConfigurationError(
                 f"dimension {dim} out of range for {self.num_dims} dims"
             )
+
+
+@lru_cache(maxsize=1024)
+def feasible_point(
+    num_dims: int,
+    lower_bounds: tuple[float, ...],
+    upper_bounds: tuple[float, ...],
+    rows: tuple[tuple[tuple[float, ...], float | None, float | None], ...],
+) -> np.ndarray:
+    """Interior point of ``lower ≤ B ≤ upper`` and ``lo ≤ coeffs·B ≤ hi`` rows.
+
+    The LP behind :meth:`ConstraintSet.find_feasible_point`, memoized on
+    its exact content: the box bounds and the ``(coeffs, lower, upper)``
+    rows in order, labels excluded. HiGHS is deterministic, so a memoized
+    point is the point a fresh solve would return. The returned array is
+    shared and read-only. ``clear_solver_caches()`` resets the memo;
+    infeasible sets raise and are not memoized.
+    """
+    from scipy.optimize import linprog
+
+    # Feasibility LP with a slack-maximizing twist: maximize the margin s
+    # subject to every inequality having slack >= s (equalities exact).
+    a_ub: list[list[float]] = []
+    b_ub: list[float] = []
+    a_eq: list[list[float]] = []
+    b_eq: list[float] = []
+    for coeffs, lower, upper in rows:
+        scale = max(float(np.abs(coeffs).sum()), 1e-12)
+        if lower is not None and lower == upper:
+            a_eq.append(list(coeffs) + [0.0])
+            b_eq.append(float(lower))
+            continue
+        if upper is not None:
+            a_ub.append(list(coeffs) + [scale])
+            b_ub.append(upper)
+        if lower is not None:
+            a_ub.append([-c for c in coeffs] + [scale])
+            b_ub.append(-lower)
+    bounds = list(zip(lower_bounds, upper_bounds))
+    # The slack margin must be bounded or a constraint set with only
+    # equality rows (where the slack never appears) makes the LP
+    # unbounded. Any finite cap works; it only shapes the interior point.
+    bounds.append((0.0, float(max(upper_bounds))))
+    objective = [0.0] * num_dims + [-1.0]
+    result = linprog(
+        objective,
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=np.array(b_eq) if b_eq else None,
+        bounds=bounds,
+        method="highs",
+    )
+    if not result.success:
+        raise OptimizationError(
+            f"constraint set is infeasible: {result.message}"
+        )
+    point = np.asarray(result.x[:num_dims], dtype=float)
+    point.flags.writeable = False
+    return point

@@ -37,8 +37,10 @@ A memoization tier keyed on the frozen expression —
 :func:`compile_expression`, :func:`traffic_totals`, and (in
 :mod:`repro.training.expr`) ``simplify`` / ``vector_evaluator`` — makes
 repeat solves over one workload (warm starts, budget sweeps) skip all tree
-work. :func:`clear_solver_caches` resets every tier (used by benchmarks for
-cold-path timing).
+work, and the feasibility LP is memoized on its content
+(:func:`repro.core.constraints.feasible_point`), so every cell of one
+budget pays for HiGHS once. :func:`clear_solver_caches` resets every tier
+(used by benchmarks for cold-path timing).
 
 **Continuation solving** — both entry points accept ``warm_start``: a prior
 optimum (e.g. the neighboring cell of a budget sweep). The warm point is
@@ -60,7 +62,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.constraints import FEASIBILITY_TOLERANCE, ConstraintSet
+from repro.core.constraints import (
+    FEASIBILITY_TOLERANCE,
+    ConstraintSet,
+    feasible_point,
+)
 from repro.core.kernel import ConstraintBlocks, minimize_slsqp
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
@@ -365,6 +371,15 @@ def _proportional_split(
     return point
 
 
+def _seed_close(a: Sequence[float], b: Sequence[float]) -> bool:
+    """``np.allclose(a, b, rtol=1e-6)`` for finite vectors of one length.
+
+    For finite values numpy's rule is exactly this scalar test, which costs
+    far less than an ``allclose`` call on vectors this short.
+    """
+    return all(abs(x - y) <= 1e-8 + 1e-6 * abs(y) for x, y in zip(a, b))
+
+
 def build_seeds(
     expr: Expr,
     constraints: ConstraintSet,
@@ -372,14 +387,16 @@ def build_seeds(
 ) -> list[np.ndarray]:
     """Deterministic multi-start seed family (bytes/s)."""
     seeds: list[np.ndarray] = []
+    kept: list[list[float]] = []
 
     def push(point: np.ndarray | None) -> None:
         if point is None:
             return
-        for existing in seeds:
-            if np.allclose(existing, point, rtol=1e-6):
-                return
+        values = point.tolist()
+        if any(_seed_close(existing, values) for existing in kept):
+            return
         seeds.append(point)
+        kept.append(values)
 
     totals = traffic_totals(expr, constraints.num_dims)
     if constraints.total_bandwidth is not None:
@@ -727,6 +744,7 @@ def clear_solver_caches() -> None:
     traffic_totals.cache_clear()
     _simplify.cache_clear()
     _vector_evaluator.cache_clear()
+    feasible_point.cache_clear()
 
 
 def _warm_label(warm_start: str) -> str:

@@ -118,12 +118,6 @@ def _resolve_topology_cached(name_or_notation: str):
     return resolve_topology(name_or_notation)
 
 
-@lru_cache(maxsize=64)
-def _build_workload_cached(preset: str, num_npus: int) -> Workload:
-    """Per-worker LRU over preset workload construction (same rationale)."""
-    return resolve_workload(preset, num_npus)
-
-
 def point_scenario(point: ExplorationPoint) -> Scenario:
     """The :class:`Scenario` one exploration cell describes.
 
@@ -138,7 +132,7 @@ def point_scenario(point: ExplorationPoint) -> Scenario:
         entry = ScenarioWorkload(workload=point.workload)
     else:
         entry = ScenarioWorkload(
-            workload=_build_workload_cached(point.workload, network.num_npus),
+            workload=resolve_workload(point.workload, network.num_npus),
             preset=point.workload,
         )
     return Scenario(

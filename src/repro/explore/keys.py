@@ -52,11 +52,13 @@ def point_payload(point: ExplorationPoint) -> dict:
     Preset workloads hash as ``(preset name, NPU count)`` — the builders are
     pure functions of that pair — while concrete :class:`Workload` objects
     hash their full layer-level fingerprint, so custom workloads from files
-    participate in caching too.
+    participate in caching too. That fingerprint is the workload's
+    pre-encoded :meth:`~repro.workloads.workload.Workload.encoded` fragment,
+    which :func:`digest` splices in verbatim.
     """
     network = resolve_topology(point.topology)
     if isinstance(point.workload, Workload):
-        workload_payload = point.workload.canonical()
+        workload_payload = point.workload.encoded()
     else:
         workload_payload = {"preset": point.workload, "num_npus": network.num_npus}
     cost_model = point.cost_model or default_cost_model()

@@ -289,11 +289,14 @@ class JobStore:
         tmp = path.with_name(
             f"record.{os.getpid()}.{threading.get_ident()}.tmp"
         )
+        # ``json.dumps`` runs the C encoder; ``json.dump`` would stream the
+        # same text through the pure-Python ``iterencode``.
+        text = json.dumps(payload, sort_keys=True)
         with self._lock:
             job_dir.mkdir(parents=True, exist_ok=True)
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, sort_keys=True)
+                    fh.write(text)
                     fh.flush()
                     faults.fire("store.fsync")
                     began = time.perf_counter()

@@ -134,16 +134,33 @@ def training_time_expression(
 
     Returns:
         A simplified :class:`~repro.training.expr.Expr`.
+
+    Each distinct layer is built once: layers with the same compute FLOPs
+    and communication requirements (a transformer's repeated blocks) share
+    the first one's expression object. Only comm labels differ between
+    such layers, and :func:`~repro.training.expr.simplify` keeps the first
+    occurrence's label when it merges identical terms anyway, so the
+    result is the tree a layer-by-layer build produces.
     """
     compute = compute_model or a100_compute_model()
     loop = loop or NoOverlapLoop()
     mapping = map_parallelism(network, workload.parallelism)
     frozen_dims = frozenset(in_network_dims)
-    layer_exprs = tuple(
-        loop.layer_time(layer_components(layer, mapping, compute, frozen_dims))
-        for layer in workload.layers
-    )
-    return simplify(Sum(layer_exprs))
+    built: dict[tuple, Expr] = {}
+    layer_exprs = []
+    for layer in workload.layers:
+        content = (
+            layer.fwd_compute_flops, layer.fwd_comms,
+            layer.tp_compute_flops, layer.tp_comms,
+            layer.dp_compute_flops, layer.dp_comms,
+        )
+        expr = built.get(content)
+        if expr is None:
+            expr = built[content] = loop.layer_time(
+                layer_components(layer, mapping, compute, frozen_dims)
+            )
+        layer_exprs.append(expr)
+    return simplify(Sum(tuple(layer_exprs)))
 
 
 def estimate_step_time(

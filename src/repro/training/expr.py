@@ -37,6 +37,20 @@ import numpy as np
 from repro.utils.errors import ConfigurationError
 
 
+def _node_hash(node: "Expr", content: tuple) -> int:
+    """``hash(content)``, computed once per node and kept on it.
+
+    Equal to the dataclass-generated hash over the same fields. Trees share
+    subtrees — a transformer's repeated layers are one object — and every
+    memo keyed on an expression hashes the tree again on each lookup, so
+    without this the same subtree is re-hashed once per reference.
+    """
+    cached = node.__dict__.get("_hash")
+    if cached is None:
+        cached = node.__dict__["_hash"] = hash(content)
+    return cached
+
+
 class Expr(abc.ABC):
     """A non-negative time expression over the bandwidth vector."""
 
@@ -102,6 +116,9 @@ class CommTerm(Expr):
     def max_dim(self) -> int:
         return max((dim for dim, _ in self.coefficients), default=-1)
 
+    def __hash__(self) -> int:
+        return _node_hash(self, (self.coefficients,))
+
 
 @dataclass(frozen=True)
 class Sum(Expr):
@@ -129,6 +146,9 @@ class Sum(Expr):
     def max_dim(self) -> int:
         return max((child.max_dim() for child in self.children), default=-1)
 
+    def __hash__(self) -> int:
+        return _node_hash(self, (self.children, self.weights))
+
 
 @dataclass(frozen=True)
 class MaxExpr(Expr):
@@ -145,6 +165,9 @@ class MaxExpr(Expr):
 
     def max_dim(self) -> int:
         return max(child.max_dim() for child in self.children)
+
+    def __hash__(self) -> int:
+        return _node_hash(self, (self.children,))
 
 
 @lru_cache(maxsize=1024)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.utils.canonical import Encoded
 from repro.utils.errors import ConfigurationError
 from repro.workloads.layers import CommRequirement, CommScope, Layer
 from repro.workloads.parallelism import Parallelism
@@ -31,12 +32,8 @@ class Workload:
     layers: tuple[Layer, ...]
     parallelism: Parallelism
     dtype_bytes: int = 2
-    #: Lazily computed :meth:`canonical` payload. Workload instances are
-    #: immutable and widely shared (per-worker LRUs, engine memos), while
-    #: content-addressing — scenario keys, engine keys, sweep cache keys —
-    #: re-reads the canonical payload on every request; caching it keeps
-    #: key derivation out of the sweep hot path.
-    _canonical_cache: dict | None = field(
+    #: Lazily encoded :meth:`canonical` payload (see :meth:`encoded`).
+    _encoded: Encoded | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -96,11 +93,9 @@ class Workload:
         labels) is excluded so round-tripping the text format preserves
         identity.
 
-        Computed once per instance and shared; treat the returned payload
-        as read-only.
+        Content keys use :meth:`encoded`, which encodes this payload once
+        per instance.
         """
-        if self._canonical_cache is not None:
-            return self._canonical_cache
         # Degree-1 cp/ep axes are omitted so the canonical payload (and
         # every digest derived from it) of a classic HP-(tp, dp) workload
         # is byte-identical to what pre-CP/EP releases produced.
@@ -113,7 +108,7 @@ class Workload:
             parallelism_payload["cp"] = self.parallelism.cp
         if self.parallelism.ep != 1:
             parallelism_payload["ep"] = self.parallelism.ep
-        payload = {
+        return {
             "name": self.name,
             "parallelism": parallelism_payload,
             "dtype_bytes": self.dtype_bytes,
@@ -142,8 +137,19 @@ class Workload:
                 for layer in self.layers
             ],
         }
-        object.__setattr__(self, "_canonical_cache", payload)
-        return payload
+
+    def encoded(self) -> Encoded:
+        """:meth:`canonical` as canonical JSON text, encoded once per instance.
+
+        Workload instances are immutable and widely shared (the preset
+        memo, engine memos), while every scenario key, engine key and sweep
+        cache key of a workload embeds its 20–50 KB layer list; content keys
+        splice this fragment in instead of re-encoding it. The text is also
+        far smaller than the payload dict it encodes.
+        """
+        if self._encoded is None:
+            object.__setattr__(self, "_encoded", Encoded(self.canonical()))
+        return self._encoded
 
     def with_parallelism(self, parallelism: Parallelism) -> "Workload":
         """Shallow re-tag with a different strategy.

@@ -38,6 +38,10 @@ class TestSeededEntries:
         via_presets = build_workload("Turing-NLG", 512)
         assert via_registry.canonical() == via_presets.canonical()
 
+    def test_preset_workloads_are_shared(self):
+        assert resolve_workload("GPT-3", 512) is resolve_workload("GPT-3", 512)
+        assert resolve_workload("GPT-3", 512) is not resolve_workload("GPT-3", 4096)
+
     def test_default_models_and_loops(self):
         assert resolve_cost_model("table1-default").name == "table1-default"
         assert COMPUTE_MODELS.build("A100-75pct").name == "A100-75pct"
@@ -76,6 +80,45 @@ class TestRegistration:
     def test_empty_name_rejected(self):
         with pytest.raises(ConfigurationError, match="must not be empty"):
             Registry("thing").register("", lambda: 1)
+
+    def test_reregistered_workload_is_never_stale(self):
+        builds = []
+
+        def _first(num_npus):
+            builds.append("first")
+            return build_workload("Turing-NLG", num_npus)
+
+        def _second(num_npus):
+            builds.append("second")
+            return build_workload("DLRM", num_npus)
+
+        WORKLOADS.register("memo-test-model", _first)
+        try:
+            first = resolve_workload("memo-test-model", 512)
+            assert resolve_workload("memo-test-model", 512) is first
+            WORKLOADS.register("memo-test-model", _second, overwrite=True)
+            second = resolve_workload("memo-test-model", 512)
+            assert second.name == "DLRM"
+            assert resolve_workload("memo-test-model", 512) is second
+        finally:
+            WORKLOADS.unregister("memo-test-model")
+        assert builds == ["first", "second"]
+
+    def test_workload_build_failures_are_not_memoized(self):
+        calls = []
+
+        def _broken(num_npus):
+            calls.append(num_npus)
+            raise ConfigurationError("no such size")
+
+        WORKLOADS.register("memo-broken-model", _broken)
+        try:
+            for _ in range(2):
+                with pytest.raises(ConfigurationError, match="no such size"):
+                    resolve_workload("memo-broken-model", 64)
+        finally:
+            WORKLOADS.unregister("memo-broken-model")
+        assert calls == [64, 64]
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(ConfigurationError, match="unknown workload"):

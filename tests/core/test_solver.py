@@ -77,6 +77,29 @@ class TestSeeds:
         seeds = build_seeds(expr, cons)
         assert any(np.allclose(seed, [gbps(300), gbps(100)], rtol=1e-3) for seed in seeds)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.lists(
+            st.floats(min_value=0.0, max_value=1e13), min_size=1, max_size=5
+        ),
+        data=st.data(),
+    )
+    def test_dedupe_rule_is_numpys_allclose(self, base, data):
+        """Seed dedupe decides exactly as ``np.allclose(rtol=1e-6)``,
+        including right at the tolerance edge."""
+        from repro.core.solver import _seed_close
+
+        scale = data.draw(st.sampled_from([0.0, 1e-9, 5e-7, 1e-6, 2e-6, 1e-3]))
+        other = [
+            value * (1 + scale * data.draw(st.sampled_from([-1.0, 1.0])))
+            + data.draw(st.sampled_from([0.0, 1e-8, -1e-8, 2e-8]))
+            for value in base
+        ]
+        for a, b in ((base, other), (other, base)):
+            assert _seed_close(a, b) == bool(
+                np.allclose(np.array(a), np.array(b), rtol=1e-6)
+            )
+
 
 class TestPerfOpt:
     def test_single_collective_waterfilling(self):

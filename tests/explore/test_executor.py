@@ -152,16 +152,14 @@ class TestCompletenessGuard:
 class TestPerWorkerLRU:
     def test_topology_and_workload_resolved_once(self):
         """Cells sharing a topology/workload reuse one cached instance."""
-        from repro.explore.executor import (
-            _build_workload_cached,
-            _resolve_topology_cached,
-        )
+        from repro.api.registry import _built_workload
+        from repro.explore.executor import _resolve_topology_cached
 
         _resolve_topology_cached.cache_clear()
-        _build_workload_cached.cache_clear()
+        _built_workload.cache_clear()
         run_sweep(tiny_spec(bandwidths_gbps=(100.0, 200.0, 300.0)))
         topo_info = _resolve_topology_cached.cache_info()
-        workload_info = _build_workload_cached.cache_info()
+        workload_info = _built_workload.cache_info()
         assert topo_info.misses == 1
         assert topo_info.hits == 2
         assert workload_info.misses == 1

@@ -12,9 +12,14 @@ from repro.training import (
     resolve_workload_comms,
     training_time_expression,
 )
-from repro.training.expr import count_nodes
+from repro.strategy.search import tagged_workload
+from repro.strategy.space import StrategySpace
+from repro.training.compute import a100_compute_model
+from repro.training.estimator import layer_components
+from repro.training.expr import CommTerm, Sum, count_nodes, simplify
 from repro.utils import gbps
-from repro.workloads import build_workload
+from repro.workloads import build_workload, workload_names
+from repro.workloads.parallelism import map_parallelism
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +60,74 @@ class TestExpression:
         plain = estimate_step_time(gpt3, net4k, bw)
         offloaded = estimate_step_time(gpt3, net4k, bw, in_network_dims={3})
         assert offloaded <= plain
+
+
+def _layer_by_layer(workload, network, loop, in_network_dims):
+    """Build every layer's expression separately (no sharing)."""
+    mapping = map_parallelism(network, workload.parallelism)
+    compute = a100_compute_model()
+    dims = frozenset(in_network_dims)
+    return simplify(
+        Sum(
+            tuple(
+                loop.layer_time(layer_components(layer, mapping, compute, dims))
+                for layer in workload.layers
+            )
+        )
+    )
+
+
+def _shared_build_cases():
+    network = get_topology("3D-512")
+    for name in workload_names():
+        yield build_workload(name, network.num_npus), network
+    strategies, _ = StrategySpace(max_tp=16).split(network.num_npus, network)
+    for preset in ("GPT-3", "Turing-NLG"):
+        for strategy in strategies:
+            yield tagged_workload(preset, network.num_npus, strategy), network
+    net4k = get_topology("4D-4K")
+    for name in ("GPT-3", "DLRM", "ResNet-50"):
+        yield build_workload(name, net4k.num_npus), net4k
+
+
+class TestSharedLayerExpressions:
+    @pytest.mark.parametrize("loop", [NoOverlapLoop(), TPDPOverlapLoop()])
+    def test_shared_build_equals_layer_by_layer(self, loop):
+        """Identical layers share one expression; the tree, CommTerm labels
+        included, is the one a layer-by-layer build produces."""
+        for workload, network in _shared_build_cases():
+            for dims in ((), (0,), tuple(range(network.num_dims))):
+                simplify.cache_clear()
+                reference = _layer_by_layer(workload, network, loop, dims)
+                simplify.cache_clear()
+                shared = training_time_expression(
+                    workload, network, loop=loop, in_network_dims=dims
+                )
+                assert shared == reference
+                assert repr(shared) == repr(reference), (workload.name, dims)
+
+    def test_labels_name_the_first_layer(self, net4k):
+        workload = build_workload("GPT-3", net4k.num_npus)
+        expr = training_time_expression(workload, net4k)
+        labels = {
+            child.label for child in expr.children if isinstance(child, CommTerm)
+        }
+        first = workload.layers[0].name
+        assert labels and all(label.startswith(f"{first}/") for label in labels)
+
+    def test_each_distinct_layer_built_once(self, gpt3, net4k, monkeypatch):
+        from repro.training import estimator
+
+        built = []
+        original = estimator.layer_components
+
+        def counting(layer, *args, **kwargs):
+            built.append(layer.name)
+            return original(layer, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "layer_components", counting)
+        training_time_expression(gpt3, net4k)
+        assert built == [gpt3.layers[0].name]
 
 
 class TestResolvedComms:
