@@ -605,9 +605,6 @@ class CostrategyRequest:
             pairs, applied to every cell (the sweep-spec convention).
         cache_dir: On-disk result cache directory; ``None`` uses the
             service's shared in-memory batch cache.
-        cross_warm: Seed each strategy's cells from the previous
-            strategy's optima at the same budget (the adjacency the
-            deterministic enumeration order is designed for).
         attribution: Attach per-strategy binding-dimension attribution to
             the frontier (read-only analyze calls; never fails the search).
     """
@@ -619,7 +616,6 @@ class CostrategyRequest:
     space: "StrategySpace | None" = None
     dim_caps_gbps: tuple[tuple[int, float], ...] = ()
     cache_dir: str | None = None
-    cross_warm: bool = True
     attribution: bool = True
 
     def __post_init__(self) -> None:
@@ -662,13 +658,16 @@ class CostrategyRequest:
             "space": None if self.space is None else self.space.to_dict(),
             "dim_caps_gbps": [list(pair) for pair in self.dim_caps_gbps],
             "cache_dir": self.cache_dir,
-            "cross_warm": self.cross_warm,
             "attribution": self.attribution,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "CostrategyRequest":
-        """Rebuild a costrategy request from :meth:`to_dict` output."""
+        """Rebuild a costrategy request from :meth:`to_dict` output.
+
+        A ``cross_warm`` key, which payloads and job records written while
+        cross-strategy seeding was optional carry, is ignored.
+        """
         from repro.strategy.space import StrategySpace
 
         check_schema_version(
@@ -693,7 +692,6 @@ class CostrategyRequest:
                     for dim, cap in payload.get("dim_caps_gbps", ())
                 ),
                 cache_dir=None if cache_dir is None else str(cache_dir),
-                cross_warm=bool(payload.get("cross_warm", True)),
                 attribution=bool(payload.get("attribution", True)),
             )
         except (KeyError, TypeError, ValueError) as exc:

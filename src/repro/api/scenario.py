@@ -28,7 +28,7 @@ names through the :mod:`repro.api.registry` plugin point::
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.api.registry import (
     resolve_cost_model,
@@ -165,6 +165,10 @@ class Scenario:
     compute_model: ComputeModel | None = None
     loop: str = "no-overlap"
     in_network_dims: tuple[int, ...] = ()
+    #: Lazily computed :meth:`engine_key` (see there).
+    _engine_key: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workloads", tuple(self.workloads))
@@ -245,10 +249,15 @@ class Scenario:
         :meth:`compile` never reads the constraint set (constraints are
         applied per request at solve time), so the engine memo excludes it —
         every budget cell of a sweep column shares one compiled engine.
+
+        Cached on the (frozen) instance: one request reads it several
+        times, and a ``replace()`` copy starts without the cached value.
         """
-        payload = self.canonical()
-        del payload["constraints"]
-        return digest(payload)
+        if self._engine_key is None:
+            payload = self.canonical()
+            del payload["constraints"]
+            object.__setattr__(self, "_engine_key", digest(payload))
+        return self._engine_key
 
     # -- serialization -------------------------------------------------------
 

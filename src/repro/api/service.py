@@ -655,7 +655,6 @@ class LibraService:
             scheme=request.scheme,
             dim_caps_gbps=request.dim_caps_gbps,
             cache=cache,
-            cross_warm=request.cross_warm,
             service=self,
             should_stop=should_stop,
             on_event=on_event,

@@ -196,11 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed result cache; re-runs replay solved cells",
     )
     costrategy.add_argument(
-        "--no-cross-warm", action="store_true",
-        help="do not seed strategies from their predecessor's optima "
-             "(independent columns; the reference path)",
-    )
-    costrategy.add_argument(
         "--no-attribution", action="store_true",
         help="skip the per-strategy binding-dimension analysis",
     )
@@ -812,7 +807,6 @@ def _cmd_costrategy(args: argparse.Namespace) -> int:
         ),
         dim_caps_gbps=_parse_caps(args.cap),
         cache_dir=args.cache_dir,
-        cross_warm=not args.no_cross_warm,
         attribution=not args.no_attribution,
     )
 

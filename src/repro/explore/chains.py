@@ -5,14 +5,18 @@ cost model × caps, different budget — are near-identical optimizations, so
 their optima make excellent warm starts for each other. This module turns a
 flat set of grid cells into *continuation chains*: within a chain, cells
 are sorted by ascending budget and the executor solves them sequentially,
-threading each optimum into the next cell's ``warm_start``. Chains are
-independent of each other, so they are also the unit of process-pool
-fan-out (warm-start propagation never has to cross a process boundary).
+threading each optimum into the next cell's ``warm_start``.
 
 The partition is a pure function of the cell list: every cell lands in
 exactly one chain (the property the test suite pins), chains appear in
 first-cell-encounter order, and equal budgets keep their input order — so
 serial and parallel executions of one grid see identical chains.
+
+Chains whose signatures differ only in the workload's strategy tag form a
+*family* (:func:`chain_family`), which the executor runs in one process so
+each column can seed from the previous one; families are the unit of
+process-pool fan-out (warm-start propagation never has to cross a process
+boundary). Untagged chains are families of one.
 
 The chain signature is a *grouping heuristic*, not a correctness boundary:
 two cells that share a signature but would not actually continue well
@@ -23,12 +27,16 @@ solver a poor warm seed, which the trust check in
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import TypeVar
 
 from repro.explore.spec import ExplorationPoint
 
 T = TypeVar("T")
+
+#: Separator between a preset name and a strategy slug in a tagged
+#: per-strategy workload name (``"Turing-NLG#tp2-dp4"``).
+STRATEGY_TAG = "#"
 
 
 def chain_signature(point: ExplorationPoint) -> tuple:
@@ -44,6 +52,13 @@ def chain_signature(point: ExplorationPoint) -> tuple:
         point.cost_model_name,
         point.dim_caps_gbps,
     )
+
+
+def chain_family(point: ExplorationPoint) -> tuple:
+    """The chain signature with the strategy tag cut from the workload name
+    (every strategy column of one joint search shares it)."""
+    name, *rest = chain_signature(point)
+    return (name.split(STRATEGY_TAG, 1)[0], *rest)
 
 
 def chain_label(point: ExplorationPoint) -> str:
@@ -82,10 +97,3 @@ def build_chains(
         sorted(group, key=lambda item: item[1].total_bw_gbps)
         for group in groups.values()
     ]
-
-
-def iter_chain_cells(
-    chains: Iterable[list[tuple[T, ExplorationPoint]]],
-) -> list[tuple[T, ExplorationPoint]]:
-    """Flatten chains back to a cell list (chain order, then budget order)."""
-    return [item for chain in chains for item in chain]

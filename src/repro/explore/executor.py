@@ -5,11 +5,12 @@ an explicit point list), serves every cell it can from the cache, and
 partitions the remainder into *continuation chains*
 (:mod:`repro.explore.chains`): same workload × topology × scheme × cost
 model × caps, sorted by ascending budget. Chains solve sequentially —
-each cell's optimum becomes the next cell's ``warm_start`` seed — and are
-the unit of process-pool fan-out, so warm-start propagation survives
-parallel execution without any cross-process state. Rows are assembled
-back in grid order, so serial, parallel, and cached runs of the same spec
-are indistinguishable except for wall-clock time.
+each cell's optimum becomes the next cell's ``warm_start`` seed — and run
+in chain *families* (the strategy columns of a joint search, see
+:func:`_iter_family`), the unit of process-pool fan-out, so warm-start
+propagation survives parallel execution without any cross-process state.
+Rows are assembled back in grid order, so serial, parallel, and cached
+runs of the same spec are indistinguishable except for wall-clock time.
 
 ``continuation=False`` restores the cold path (every cell pays the full
 multi-start bill from cold seeds) — the reference the sweep benchmark and
@@ -46,7 +47,12 @@ from repro.utils.errors import JobCancelled, ReproError, TransientError
 from repro.workloads.workload import Workload
 
 from repro.explore.cache import ResultCache
-from repro.explore.chains import build_chains, chain_label, chain_signature
+from repro.explore.chains import (
+    build_chains,
+    chain_family,
+    chain_label,
+    chain_signature,
+)
 from repro.explore.keys import point_constraints, point_key, resolve_topology
 from repro.explore.records import ExplorationResult, SweepProfile, SweepResult
 from repro.explore.spec import ExplorationPoint, SweepSpec
@@ -88,9 +94,10 @@ ProgressCallback = Callable[[int, int, ExplorationResult], None]
 #:   ``chains``, ``cells``, ``label``. Inline runs emit ``start``/``done``
 #:   around each chain; pool runs emit ``queued`` at submission (the
 #:   coordinator cannot observe when a worker actually picks a chain up)
-#:   and ``done`` at completion, plus ``requeued`` when a dead pool
-#:   worker forces a chain onto a fresh pool and ``quarantined`` when a
-#:   chain exhausts its requeue budget (its cells become error rows).
+#:   and ``done`` when its family completes, plus ``requeued`` when a
+#:   dead pool worker forces its family onto a fresh pool and
+#:   ``quarantined`` when the family exhausts its requeue budget (its
+#:   cells become error rows).
 EventCallback = Callable[[dict], None]
 
 
@@ -226,86 +233,95 @@ def solve_point(
     )
 
 
-def _iter_chain(
-    chain: list[tuple[str, ExplorationPoint]],
-    continuation: bool,
-    initial_warm: tuple[float, ...] | None = None,
+def _iter_family(
+    tasks: list[tuple[int, list[tuple[str, ExplorationPoint]]]],
+    columns: dict[tuple, dict[float, tuple[float, ...]]],
     should_stop: Callable[[], bool] | None = None,
     service=None,
+    on_chain: Callable[[str, int], None] | None = None,
 ):
-    """Solve one continuation chain in budget order, yielding per cell.
+    """Solve one family's ``(chain index, chain)`` tasks, yielding per cell.
 
-    Each cell warm-starts from the most recent *successful* optimum in the
-    chain; the first cell starts from ``initial_warm`` — a budget-neighbor
-    the cache already answered, when one exists — or cold. The whole chain
-    runs in one process, so propagation needs no cross-worker state.
+    A family is the chains whose signatures differ only in the strategy
+    tag (:func:`~repro.explore.chains.chain_family`); ``columns`` maps each
+    of its columns, in grid order, to the optima phase 1 served from the
+    cache by budget, and each optimum solved here joins its column. A cell
+    warm-starts from its chain's latest *successful* optimum; until there
+    is one, from the cached budget of its column nearest the chain's first
+    (preferring the largest at-or-below), so widening a cached grid never
+    pays a cold solve; a cell with neither takes the previous column's
+    optimum at its budget.
+    Yields ``(key, result, cross_seeded)``. The whole family runs in one
+    process, so propagation needs no cross-worker state. ``on_chain``
+    hears ``("start", index)`` and ``("done", index)`` around each chain.
 
-    Yielding cell-by-cell (rather than returning the finished chain) is
+    Yielding cell-by-cell (rather than returning the finished family) is
     what makes cancellation lossless on the inline path: every yielded row
     is installed — and cached — before the next cell's ``should_stop``
     checkpoint can raise :class:`JobCancelled`.
     """
-    warm = initial_warm if continuation else None
-    for key, point in chain:
-        if should_stop is not None and should_stop():
-            raise JobCancelled("sweep cancelled between cells")
-        # Cell spans record on whichever process runs the chain: the
-        # coordinator inline, or a pool worker — where the tracer is the
-        # fresh process's no-op default, so pool results stay bit-identical
-        # to serial ones whether or not the coordinator traces.
-        tracer = obs_trace.get_tracer()
-        if tracer is obs_trace.NULL_TRACER:
-            result = solve_point(
-                point, key=key, warm_start=warm, should_stop=should_stop,
-                service=service,
-            )
-        else:
-            with tracer.span("cell", attrs={"label": point.label()}) as span:
-                result = solve_point(
-                    point, key=key, warm_start=warm, should_stop=should_stop,
-                    service=service,
-                )
-                span.set("status", "solved" if result.ok else "error")
-                span.set("warm_start", result.warm_start)
-        yield key, result
-        if continuation and result.ok and point.scheme is not Scheme.EQUAL_BW:
-            warm = result.bandwidths_gbps
+    order = list(columns)
+    for index, chain in tasks:
+        if on_chain is not None:
+            on_chain("start", index)
+        _, first = chain[0]
+        signature = chain_signature(first)
+        position = order.index(signature) if signature in columns else 0
+        cross = columns[order[position - 1]] if position else {}
+        column = columns.setdefault(signature, {})
+        budget = first.total_bw_gbps
+        below = [item for item in column.items() if item[0] <= budget]
+        nearest = min(
+            below or column.items(),
+            key=lambda item: abs(item[0] - budget),
+            default=None,
+        )
+        warm = None if nearest is None else nearest[1]
+        with obs_trace.get_tracer().span(
+            "chain", attrs={"cells": len(chain), "label": chain_label(first)}
+        ):
+            for key, point in chain:
+                if should_stop is not None and should_stop():
+                    raise JobCancelled("sweep cancelled between cells")
+                seed = warm if warm is not None else cross.get(point.total_bw_gbps)
+                # Cell spans record on whichever process runs the family:
+                # the coordinator inline, or a pool worker — where the
+                # tracer is the fresh process's no-op default, so pool
+                # results stay bit-identical to serial ones whether or not
+                # the coordinator traces.
+                tracer = obs_trace.get_tracer()
+                if tracer is obs_trace.NULL_TRACER:
+                    result = solve_point(
+                        point, key=key, warm_start=seed,
+                        should_stop=should_stop, service=service,
+                    )
+                else:
+                    with tracer.span(
+                        "cell", attrs={"label": point.label()}
+                    ) as span:
+                        result = solve_point(
+                            point, key=key, warm_start=seed,
+                            should_stop=should_stop, service=service,
+                        )
+                        span.set("status", "solved" if result.ok else "error")
+                        span.set("warm_start", result.warm_start)
+                yield key, result, warm is None and seed is not None
+                if result.ok and point.scheme is not Scheme.EQUAL_BW:
+                    warm = column[point.total_bw_gbps] = result.bandwidths_gbps
+        if on_chain is not None:
+            on_chain("done", index)
 
 
-def _solve_chain(
-    chain: list[tuple[str, ExplorationPoint]],
-    continuation: bool,
-    initial_warm: tuple[float, ...] | None = None,
-) -> list[tuple[str, ExplorationResult]]:
-    """Pool-worker entry: one whole chain, solved in its worker process.
+def _solve_family(
+    tasks: list[tuple[int, list[tuple[str, ExplorationPoint]]]],
+    columns: dict[tuple, dict[float, tuple[float, ...]]],
+) -> list[tuple[str, ExplorationResult, bool]]:
+    """Pool-worker entry: one whole family, solved in its worker process.
 
     No ``should_stop`` here — predicates do not cross process boundaries;
-    in pool mode the *coordinator* cancels between chain completions.
+    in pool mode the *coordinator* cancels between family completions.
     """
-    return list(_iter_chain(chain, continuation, initial_warm))
-
-
-def _cached_neighbor_seed(
-    chain: list[tuple[str, ExplorationPoint]],
-    cached_by_signature: dict[tuple, list[tuple[float, tuple[float, ...]]]],
-) -> tuple[float, ...] | None:
-    """The warm seed a chain's first cell inherits from cached neighbors.
-
-    Widening a cached sweep by one budget must not pay a cold solve while
-    the neighboring optima sit in the rows phase 1 just served: the
-    nearest cached budget of the same continuation family (preferring the
-    largest at-or-below, matching ascending chain order) seeds the chain.
-    """
-    _, first = chain[0]
-    if first.scheme is Scheme.EQUAL_BW:
-        return None
-    candidates = cached_by_signature.get(chain_signature(first))
-    if not candidates:
-        return None
-    budget = first.total_bw_gbps
-    below = [entry for entry in candidates if entry[0] <= budget]
-    pool = below or candidates
-    return min(pool, key=lambda entry: abs(entry[0] - budget))[1]
+    return list(_iter_family(tasks, columns))
 
 
 def run_sweep(
@@ -465,11 +481,13 @@ def _run_sweep_impl(
     warm_accepted = 0
     warm_rejected = 0
     cold_solves = 0
+    cross_warm_accepted = 0
 
-    def install(key: str, result: ExplorationResult) -> None:
-        nonlocal warm_accepted, warm_rejected, cold_solves
+    def install(key: str, result: ExplorationResult, crossed: bool) -> None:
+        nonlocal warm_accepted, warm_rejected, cold_solves, cross_warm_accepted
         if result.warm_start == "accepted":
             warm_accepted += 1
+            cross_warm_accepted += crossed
         elif result.warm_start.startswith("rejected"):
             warm_rejected += 1
         elif result.ok:
@@ -480,26 +498,30 @@ def _run_sweep_impl(
             resolved(index, replace(result, point=points[index]))
 
     representatives = [(key, points[indices[0]]) for key, indices in pending.items()]
+    # Family -> column signature -> budget -> optimum phase 1 served from
+    # the cache, columns in grid order. Cold chains are singletons, each a
+    # family of its own with no seeds.
+    columns: dict[object, dict[tuple, dict[float, tuple[float, ...]]]] = {}
     if continuation:
         chains = build_chains(representatives)
-        # Optima phase 1 served from the cache seed their chains' first
-        # cells, so widening a cached grid never pays a cold solve.
-        cached_by_signature: dict[tuple, list[tuple[float, tuple[float, ...]]]] = {}
-        for index, row in enumerate(results):
-            if row is None or not row.from_cache or not row.ok:
-                continue
-            if points[index].scheme is Scheme.EQUAL_BW:
-                continue
-            cached_by_signature.setdefault(
-                chain_signature(points[index]), []
-            ).append((points[index].total_bw_gbps, row.bandwidths_gbps))
-        warm_seeds = [
-            _cached_neighbor_seed(chain, cached_by_signature)
-            for chain in chains
-        ]
+        for point, row in zip(points, results):
+            column = columns.setdefault(chain_family(point), {}).setdefault(
+                chain_signature(point), {}
+            )
+            if (
+                row is not None and row.from_cache and row.ok
+                and point.scheme is not Scheme.EQUAL_BW
+            ):
+                column.setdefault(point.total_bw_gbps, row.bandwidths_gbps)
     else:
         chains = [[item] for item in representatives]
-        warm_seeds = [None] * len(chains)
+    families: dict[object, list[tuple[int, list]]] = {}
+    for index, chain in enumerate(chains):
+        family = chain_family(chain[0][1]) if continuation else index
+        families.setdefault(family, []).append((index, chain))
+    plans = [
+        (tasks, columns.get(family, {})) for family, tasks in families.items()
+    ]
     solver_calls = len(representatives)
     fanout_cells = sum(len(indices) - 1 for indices in pending.values())
     if chains:
@@ -516,30 +538,24 @@ def _run_sweep_impl(
         "fanout_cells": fanout_cells,
     })
 
-    def chain_event(status: str, index: int) -> dict:
+    def chain_event(status: str, index: int) -> None:
         _, first = chains[index][0]
-        return {
+        emit({
             "type": "chain",
             "status": status,
             "chain": index,
             "chains": len(chains),
             "cells": len(chains[index]),
             "label": chain_label(first),
-        }
+        })
 
     solve_started = time.perf_counter()
-    if workers <= 1 or len(chains) <= 1:
-        for index, (chain, seed) in enumerate(zip(chains, warm_seeds)):
-            emit(chain_event("start", index))
-            with obs_trace.get_tracer().span(
-                "chain",
-                attrs={"cells": len(chain), "label": chain_label(chain[0][1])},
+    if workers <= 1 or len(plans) <= 1:
+        for tasks, optima in plans:
+            for key, result, crossed in _iter_family(
+                tasks, optima, should_stop, service, on_chain=chain_event
             ):
-                for key, result in _iter_chain(
-                    chain, continuation, seed, should_stop, service
-                ):
-                    install(key, result)
-            emit(chain_event("done", index))
+                install(key, result, crossed)
     else:
         if mp_context:
             from repro.api.registry import custom_entries
@@ -552,18 +568,19 @@ def _run_sweep_impl(
         else:
             pool_kwargs = {}
         for index in range(len(chains)):
-            emit(chain_event("queued", index))
-        # Chain index -> requeue count. A dead pool worker poisons the
+            chain_event("queued", index)
+        # Family index -> requeue count. A dead pool worker poisons the
         # whole pool (BrokenProcessPool on every in-flight future), so
-        # recovery is round-grained: unfinished chains requeue on a fresh
-        # pool with backoff, and a chain that exhausts its requeue budget
-        # is quarantined — its cells become error rows (never cached) and
-        # the rest of the sweep completes. Attribution is imprecise by
-        # construction (the coordinator cannot see which chain killed the
-        # worker), hence counters on every unfinished chain of a broken
-        # round; an innocent chain pays at most CHAIN_RETRY_ATTEMPTS
-        # requeues before the poisoned one is quarantined with it.
-        todo: dict[int, int] = dict.fromkeys(range(len(chains)), 0)
+        # recovery is round-grained: unfinished families requeue on a
+        # fresh pool with backoff, and a family that exhausts its requeue
+        # budget is quarantined — its unsolved cells become error rows
+        # (never cached) and the rest of the sweep completes. Attribution
+        # is imprecise by construction (the coordinator cannot see which
+        # family killed the worker), hence counters on every unfinished
+        # family of a broken round; an innocent family pays at most
+        # CHAIN_RETRY_ATTEMPTS requeues before the poisoned one is
+        # quarantined with it.
+        todo: dict[int, int] = dict.fromkeys(range(len(plans)), 0)
         round_index = 0
         while todo:
             if round_index:
@@ -575,10 +592,7 @@ def _run_sweep_impl(
                 max_workers=min(workers, len(todo)), **pool_kwargs
             ) as pool:
                 futures = {
-                    pool.submit(
-                        _solve_chain, chains[index], continuation,
-                        warm_seeds[index],
-                    ): index
+                    pool.submit(_solve_family, *plans[index]): index
                     for index in sorted(todo)
                 }
                 remaining = set(futures)
@@ -594,12 +608,13 @@ def _run_sweep_impl(
                         except BrokenProcessPool as exc:
                             broken = exc
                             continue
-                        for key, result in rows:
-                            install(key, result)
-                        emit(chain_event("done", index))
+                        for key, result, crossed in rows:
+                            install(key, result, crossed)
+                        for chain_index, _ in plans[index][0]:
+                            chain_event("done", chain_index)
                         del todo[index]
                     if broken is not None:
-                        break  # unfinished chains requeue on a fresh pool
+                        break  # unfinished families requeue on a fresh pool
                     if (
                         not cancelled
                         and remaining  # a finished sweep is never "cancelled"
@@ -607,9 +622,9 @@ def _run_sweep_impl(
                         and should_stop()
                     ):
                         # Predicates do not cross process boundaries, so pool
-                        # cancellation is chain-grained: unstarted chains are
-                        # withdrawn, running ones drain normally (their rows
-                        # still install and cache), then the sweep raises.
+                        # cancellation is family-grained: unstarted families
+                        # are withdrawn, running ones drain normally (their
+                        # rows still install and cache), then the sweep raises.
                         cancelled = True
                         remaining = {
                             future for future in remaining
@@ -620,25 +635,28 @@ def _run_sweep_impl(
                         f"sweep cancelled after {done} of {total} cells"
                     )
             if broken is None:
-                break  # every chain completed; todo is empty
+                break  # every family completed; todo is empty
             survivors: dict[int, int] = {}
             for index, requeues in sorted(todo.items()):
+                tasks, _ = plans[index]
                 if requeues >= CHAIN_RETRY_ATTEMPTS:
-                    for key, point in chains[index]:
-                        if results[pending[key][0]] is None:
-                            install(key, ExplorationResult(
-                                point=point,
-                                key=key,
-                                error=(
-                                    "quarantined: pool worker died "
-                                    f"{requeues + 1} times while this chain "
-                                    f"was in flight ({broken})"
-                                ),
-                            ))
-                    emit(chain_event("quarantined", index))
+                    for chain_index, chain in tasks:
+                        for key, point in chain:
+                            if results[pending[key][0]] is None:
+                                install(key, ExplorationResult(
+                                    point=point,
+                                    key=key,
+                                    error=(
+                                        "quarantined: pool worker died "
+                                        f"{requeues + 1} times while this "
+                                        f"chain was in flight ({broken})"
+                                    ),
+                                ), False)
+                        chain_event("quarantined", chain_index)
                 else:
                     survivors[index] = requeues + 1
-                    emit(chain_event("requeued", index))
+                    for chain_index, _ in tasks:
+                        chain_event("requeued", chain_index)
                     obs_metrics.get_registry().counter(
                         obs_names.JOB_RETRIES,
                         "Transient-failure retries (job requeues and "
@@ -660,6 +678,7 @@ def _run_sweep_impl(
         warm_accepted=warm_accepted,
         warm_rejected=warm_rejected,
         cold_solves=cold_solves,
+        cross_warm_accepted=cross_warm_accepted,
     )
     return SweepResult(
         results=list(results),  # type: ignore[arg-type]

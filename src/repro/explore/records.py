@@ -151,6 +151,8 @@ class SweepProfile:
         warm_accepted: Solved cells whose warm start passed the trust check.
         warm_rejected: Solved cells that fell back to the full fan-out.
         cold_solves: Solved cells that never had a warm seed.
+        cross_warm_accepted: Of ``warm_accepted``, those seeded by the
+            previous strategy column's optimum at the same budget.
     """
 
     lookup_s: float = 0.0
@@ -161,6 +163,7 @@ class SweepProfile:
     warm_accepted: int = 0
     warm_rejected: int = 0
     cold_solves: int = 0
+    cross_warm_accepted: int = 0
 
     @property
     def warm_hit_rate(self) -> float:
@@ -179,6 +182,7 @@ class SweepProfile:
             "warm_accepted": self.warm_accepted,
             "warm_rejected": self.warm_rejected,
             "cold_solves": self.cold_solves,
+            "cross_warm_accepted": self.cross_warm_accepted,
             "warm_hit_rate": self.warm_hit_rate,
         }
 
@@ -198,6 +202,7 @@ class SweepProfile:
                 warm_accepted=int(payload.get("warm_accepted", 0)),
                 warm_rejected=int(payload.get("warm_rejected", 0)),
                 cold_solves=int(payload.get("cold_solves", 0)),
+                cross_warm_accepted=int(payload.get("cross_warm_accepted", 0)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(

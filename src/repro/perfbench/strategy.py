@@ -2,8 +2,8 @@
 
 Where :mod:`repro.perfbench.sweep` times one budget column, this module
 times the whole joint strategy × bandwidth search twice — once with every
-cell solved cold (``cross_warm=False, continuation=False``: each strategy's
-column pays the full multi-start bill independently) and once with the
+cell solved cold (``continuation=False``: each strategy's column pays the
+full multi-start bill independently) and once with the
 default warm-start threading (within columns and across adjacent
 strategies) — and writes the ``BENCH_strategy.json`` artifact: end-to-end
 wall clock, candidates per second, the warm-hit breakdown, and the
@@ -87,7 +87,7 @@ def _timed_search(config: StrategyBenchConfig, warm: bool):
     """Best-of-N cold-cache run of one joint search; (seconds, result)."""
     from repro.api.registry import resolve_scheme
     from repro.explore import ResultCache
-    from repro.strategy import StrategySpace, joint_search
+    from repro.strategy import StrategySpace, joint_search, tagged_workload
 
     best = float("inf")
     search = None
@@ -95,6 +95,7 @@ def _timed_search(config: StrategyBenchConfig, warm: bool):
         # Every repetition pays the full pipeline — workload construction,
         # expression compilation, solving — like a fresh CLI invocation.
         clear_solver_caches()
+        tagged_workload.cache_clear()
         reset_service()
         start = time.perf_counter()
         candidate = joint_search(
@@ -104,7 +105,6 @@ def _timed_search(config: StrategyBenchConfig, warm: bool):
             space=StrategySpace(max_tp=config.max_tp),
             scheme=resolve_scheme(config.scheme),
             cache=ResultCache(),
-            cross_warm=warm,
             continuation=warm,
         )
         elapsed = time.perf_counter() - start

@@ -33,6 +33,7 @@ from urllib.request import Request, urlopen
 from repro.api.requests import (
     BatchRequest,
     BatchResponse,
+    CostrategyRequest,
     OptimizeRequest,
     OptimizeResponse,
     request_to_dict,
@@ -228,9 +229,9 @@ class ServeClient:
         asserted to match — a mismatch means the server is not the
         deduping server this retry policy assumes, and surfaces as a
         non-transient error rather than silently diverging work.
-        (Batch requests with a ``cache_dir`` skip the assertion: the
-        server rewrites the path under its ``--cache-root`` sandbox,
-        which legitimately changes the content key.)
+        (Batch and costrategy requests with a ``cache_dir`` skip the
+        assertion: the server rewrites the path under its ``--cache-root``
+        sandbox, which legitimately changes the content key.)
         """
         payload = (
             dict(request) if isinstance(request, Mapping)
@@ -238,7 +239,8 @@ class ServeClient:
         )
         expected = None
         if not isinstance(request, Mapping) and not (
-            isinstance(request, BatchRequest) and request.cache_dir
+            isinstance(request, (BatchRequest, CostrategyRequest))
+            and request.cache_dir
         ):
             expected = derive_job_id(job_content_key(request))
         for attempt in range(self.retries + 1):

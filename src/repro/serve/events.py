@@ -17,7 +17,8 @@ observation never degrades. Event *kinds* partition the stream:
   ``cached``, ``chains``, ``solver_calls``, ``fanout_cells``).
 * ``"cell"`` — one sweep grid cell resolved (``done``/``total``,
   ``label``, ``status``, ``warm_start``).
-* ``"chain"`` — a continuation chain started or finished.
+* ``"chain"`` — a continuation chain (a costrategy job's strategy
+  column) started or finished.
 
 The ``plan`` / ``cell`` / ``chain`` payloads are exactly the dicts the
 explore executor reports through its callback seam
@@ -37,8 +38,9 @@ from repro.utils.errors import ConfigurationError
 #: Event payloads ride the v3 API schema (they were introduced by it).
 EVENT_SCHEMA_VERSION = RESPONSE_SCHEMA_VERSION
 
-#: Known event kinds, in rough emission order within a job. ``strategy``
-#: brackets each strategy column of a costrategy job's joint search.
+#: Known event kinds, in rough emission order within a job. Nothing emits
+#: ``strategy`` now; recovery still decodes the logs of earlier builds,
+#: which bracketed each strategy column of a costrategy job with it.
 EVENT_KINDS = ("state", "solve", "plan", "cell", "chain", "strategy")
 
 

@@ -2,15 +2,16 @@
 
 The TopoOpt-style outer loop over the bandwidth solver: enumerate valid
 (tp, cp, ep, pp, dp) factorizations of the node count
-(:mod:`repro.strategy.space`), solve each strategy's bandwidth column with
-warm-start reuse within and across strategies through the shared result
-cache (:mod:`repro.strategy.search`), and report the decision surface —
+(:mod:`repro.strategy.space`), solve every strategy's bandwidth column in
+one sweep with warm-start reuse within and across strategies through the
+shared result cache (:mod:`repro.strategy.search`), and report the
+decision surface —
 best strategy per budget, the strategy × bandwidth Pareto set, and
 per-strategy binding-dimension attribution
 (:mod:`repro.strategy.frontier`).
 
 This package sits *above* the api/explore layers (it drives
-``LibraService`` solves through :func:`~repro.explore.executor.solve_point`)
+``LibraService`` solves through :func:`~repro.explore.executor.run_sweep`)
 — nothing below may import it.
 """
 

@@ -1,20 +1,18 @@
 """Joint parallelization-strategy × bandwidth search.
 
-:func:`joint_search` runs the TopoOpt-style outer grid: for every strategy
-the :class:`~repro.strategy.space.StrategySpace` admits, solve the full
-bandwidth-budget column through the existing cell primitive
-(:func:`~repro.explore.executor.solve_point`), content-addressed in the
-same :class:`~repro.explore.cache.ResultCache` the sweep pipeline uses.
+:func:`joint_search` runs the TopoOpt-style outer grid in three steps:
+enumerate the strategies the :class:`~repro.strategy.space.StrategySpace`
+admits, solve all their bandwidth-budget columns in one
+:func:`~repro.explore.executor.run_sweep` call, and regroup the rows into
+one :class:`StrategyRun` per strategy.
 
-Warm-start reuse happens on two axes:
-
-* *within* a strategy, budgets solve ascending and each cell seeds the next
-  (the PR 4 continuation discipline);
-* *across* strategies, the first cell of each strategy seeds from the
-  previous — adjacent — strategy's optimum at the same budget
-  (``cross_warm=True``). The space enumerates strategies sorted by degree
-  tuple precisely so neighbors differ minimally and those seeds survive
-  the solver's trust check.
+Each strategy's workload carries its slug in its name
+(:func:`tagged_workload`), so its column is one continuation chain and the
+columns of a search form one chain family: budgets solve ascending and
+each cell seeds the next, and a cell with no seed from its own column
+starts from the previous strategy's optimum at the same budget. The space
+enumerates strategies sorted by degree tuple precisely so neighbors differ
+minimally and those seeds survive the solver's trust check.
 
 Every cell is cached under its content key, so re-running any single
 strategy's column independently (``run_sweep`` over its points, or another
@@ -28,33 +26,25 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from repro.core.results import Scheme
 from repro.cost.model import CostModel
 from repro.explore.cache import ResultCache
-from repro.explore.executor import solve_point
-from repro.explore.keys import point_key, resolve_topology
+from repro.explore.chains import STRATEGY_TAG
+from repro.explore.executor import EventCallback, run_sweep
+from repro.explore.keys import resolve_topology
 from repro.explore.records import ExplorationResult
 from repro.explore.spec import ExplorationPoint
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
 from repro.obs import trace as obs_trace
-from repro.utils.errors import ConfigurationError, JobCancelled
+from repro.utils.errors import ConfigurationError
 from repro.workloads.parallelism import Parallelism
 from repro.workloads.presets import build_workload
 from repro.workloads.workload import Workload
 
 from repro.strategy.space import PrunedStrategy, StrategySpace, strategy_slug
-
-#: Separator between the preset name and the strategy slug in the tagged
-#: per-strategy workload name (``"Turing-NLG#tp2-dp3"``).
-STRATEGY_TAG = "#"
-
-#: Structured-progress callback; dicts carry a ``"type"`` discriminator:
-#: ``"plan"`` (once, after enumeration), ``"strategy"`` (start/done around
-#: each strategy column), ``"cell"`` (one cell resolved — same shape the
-#: sweep executor emits, so serve-tier progress adapters work unchanged).
-EventCallback = Callable[[dict], None]
 
 
 @dataclass(frozen=True)
@@ -112,6 +102,7 @@ class StrategySearchResult:
         return [result for run in self.runs for result in run.results]
 
 
+@lru_cache(maxsize=64)
 def tagged_workload(preset: str, num_npus: int, strategy: Parallelism) -> Workload:
     """The concrete workload of one (preset, strategy) candidate.
 
@@ -119,6 +110,11 @@ def tagged_workload(preset: str, num_npus: int, strategy: Parallelism) -> Worklo
     signatures, and frontier groupings separate cleanly per strategy; the
     content key already separates on the full canonical payload (which
     includes the parallelization degrees).
+
+    Memoized: the same (preset, size, strategy) recurs on every fabric of
+    that size, and sharing the immutable instance also shares its encoded
+    content key (:meth:`~repro.workloads.workload.Workload.encoded`).
+    Failures propagate uncached.
     """
     workload = build_workload(preset, num_npus, parallelism=strategy)
     return replace(
@@ -141,7 +137,6 @@ def joint_search(
     cost_model: CostModel | None = None,
     dim_caps_gbps: Iterable[tuple[int, float]] = (),
     cache: ResultCache | None = None,
-    cross_warm: bool = True,
     continuation: bool = True,
     service=None,
     should_stop: Callable[[], bool] | None = None,
@@ -160,17 +155,17 @@ def joint_search(
         cost_model: Cost table override; ``None`` = Table I defaults.
         dim_caps_gbps: Per-dimension caps applied to every cell.
         cache: Result cache; hits skip the solver, fresh solves store back.
-        cross_warm: Seed each strategy's first cell from the previous
-            strategy's same-budget optimum. ``False`` keeps strategies
-            independent (the cold reference for the benchmark harness).
-        continuation: Thread warm starts through each budget column.
-            ``False`` solves every cell cold (benchmark baseline).
+        continuation: Thread warm starts through each budget column and
+            across adjacent strategies. ``False`` solves every cell cold
+            (the benchmark baseline).
         service: Executing :class:`~repro.api.service.LibraService`;
             ``None`` uses the per-process default.
         should_stop: Cooperative-cancellation predicate, polled between
             cells. Raises :class:`~repro.utils.errors.JobCancelled` — after
             caching every completed cell, so a recovered job replays them.
-        on_event: Structured-progress seam (see :data:`EventCallback`).
+        on_event: Structured-progress seam: the sweep's ``plan``,
+            ``chain`` (one chain per strategy column) and ``cell`` dicts
+            (see :data:`~repro.explore.executor.EventCallback`).
 
     Raises:
         ConfigurationError: empty budget column, or a space that prunes
@@ -191,196 +186,80 @@ def joint_search(
             f"on {topology!r} ({len(pruned)} pruned)"
         )
 
+    caps = tuple(dim_caps_gbps)
+    points = [
+        ExplorationPoint(
+            workload=concrete,
+            topology=topology,
+            total_bw_gbps=budget,
+            scheme=scheme,
+            cost_model=cost_model,
+            dim_caps_gbps=caps,
+        )
+        for concrete in (
+            tagged_workload(workload, network.num_npus, strategy)
+            for strategy in strategies
+        )
+        for budget in budgets
+    ]
+    with obs_trace.get_tracer().span(
+        "strategy.search",
+        attrs={"workload": workload, "topology": topology, "cells": len(points)},
+    ):
+        sweep = run_sweep(
+            points,
+            cache=cache,
+            continuation=continuation,
+            on_event=on_event,
+            should_stop=should_stop,
+            service=service,
+        )
+    elapsed = time.perf_counter() - started
+    errors = sweep.num_errors
+    solved = len(points) - sweep.cache_hits - errors
     registry = obs_metrics.get_registry()
     candidates = registry.counter(
         obs_names.STRATEGY_CANDIDATES,
         "Joint-search candidate cells resolved, by outcome.",
         labels=("outcome",),
     )
-    if pruned:
-        candidates.labels(outcome="pruned").inc(len(pruned))
-
-    def emit(payload: dict) -> None:
-        if on_event is not None:
-            on_event(payload)
-
-    total = len(strategies) * len(budgets)
-    emit({
-        "type": "plan",
-        "total": total,
-        "strategies": len(strategies),
-        "budgets": len(budgets),
-        "pruned": len(pruned),
-    })
-
-    counts = {"solved": 0, "cached": 0, "error": 0}
-    warm = {"accepted": 0, "rejected": 0, "cold": 0, "cross_accepted": 0}
-    runs: list[StrategyRun] = []
-    done = 0
-    # Previous strategy's optimum per budget — the cross-strategy seeds.
-    prev_optima: dict[float, tuple[float, ...]] = {}
-
-    with obs_trace.get_tracer().span(
-        "strategy.search",
-        attrs={"workload": workload, "topology": topology, "cells": total},
-    ) as search_span:
-        for index, strategy in enumerate(strategies):
-            emit({
-                "type": "strategy",
-                "status": "start",
-                "index": index,
-                "strategies": len(strategies),
-                "label": str(strategy),
-            })
-            with obs_trace.get_tracer().span(
-                "strategy.candidate", attrs={"label": str(strategy)}
-            ) as span:
-                results, optima, done = _solve_column(
-                    workload, strategy, topology, budgets, scheme,
-                    cost_model, tuple(dim_caps_gbps), cache,
-                    prev_optima if cross_warm else {},
-                    continuation, service, should_stop,
-                    candidates, counts, warm, emit, done, total,
-                    network.num_npus,
-                )
-                span.set("ok", all(r.ok for r in results))
-            runs.append(StrategyRun(strategy=strategy, results=tuple(results)))
-            prev_optima = optima
-            emit({
-                "type": "strategy",
-                "status": "done",
-                "index": index,
-                "strategies": len(strategies),
-                "label": str(strategy),
-            })
-        search_span.set("solved", counts["solved"])
-        search_span.set("cached", counts["cached"])
-        search_span.set("errors", counts["error"])
-
-    elapsed = time.perf_counter() - started
+    for outcome, count in (
+        ("solved", solved), ("cached", sweep.cache_hits),
+        ("error", errors), ("pruned", len(pruned)),
+    ):
+        candidates.labels(outcome=outcome).inc(count)
     registry.histogram(
         obs_names.STRATEGY_SECONDS,
         "Wall time of one joint strategy × bandwidth search.",
     ).observe(elapsed)
 
-    solves = warm["accepted"] + warm["rejected"] + warm["cold"]
+    profile = sweep.profile
+    width = len(budgets)
     return StrategySearchResult(
         workload=workload,
         topology=topology,
         scheme=scheme,
         budgets_gbps=budgets,
-        runs=runs,
+        runs=[
+            StrategyRun(
+                strategy=strategy,
+                results=tuple(sweep.results[index * width:(index + 1) * width]),
+            )
+            for index, strategy in enumerate(strategies)
+        ],
         pruned=pruned,
         diagnostics={
             "strategies": len(strategies),
             "pruned": len(pruned),
-            "cells": total,
-            "solved": counts["solved"],
-            "cached": counts["cached"],
-            "errors": counts["error"],
-            "warm_accepted": warm["accepted"],
-            "warm_rejected": warm["rejected"],
-            "cold_solves": warm["cold"],
-            "cross_warm_accepted": warm["cross_accepted"],
-            "warm_hit_rate": warm["accepted"] / solves if solves else 0.0,
+            "cells": len(points),
+            "solved": solved,
+            "cached": sweep.cache_hits,
+            "errors": errors,
+            "warm_accepted": profile.warm_accepted,
+            "warm_rejected": profile.warm_rejected,
+            "cold_solves": profile.cold_solves,
+            "cross_warm_accepted": profile.cross_warm_accepted,
+            "warm_hit_rate": profile.warm_hit_rate,
             "search_s": elapsed,
         },
     )
-
-
-def _solve_column(
-    preset: str,
-    strategy: Parallelism,
-    topology: str,
-    budgets: tuple[float, ...],
-    scheme: Scheme,
-    cost_model: CostModel | None,
-    dim_caps: tuple[tuple[int, float], ...],
-    cache: ResultCache | None,
-    cross_seeds: Mapping[float, tuple[float, ...]],
-    continuation: bool,
-    service,
-    should_stop: Callable[[], bool] | None,
-    candidates,
-    counts: dict,
-    warm_counts: dict,
-    emit: Callable[[dict], None],
-    done: int,
-    total: int,
-    num_npus: int,
-):
-    """One strategy's budget column; returns (results, optima, done)."""
-    concrete = tagged_workload(preset, num_npus, strategy)
-    results: list[ExplorationResult] = []
-    optima: dict[float, tuple[float, ...]] = {}
-    warm: tuple[float, ...] | None = None
-    for budget in budgets:
-        if should_stop is not None and should_stop():
-            raise JobCancelled("joint search cancelled between cells")
-        point = ExplorationPoint(
-            workload=concrete,
-            topology=topology,
-            total_bw_gbps=budget,
-            scheme=scheme,
-            cost_model=cost_model,
-            dim_caps_gbps=dim_caps,
-        )
-        try:
-            key = point_key(point)
-        except Exception as exc:  # noqa: BLE001 — error containment
-            result = ExplorationResult(
-                point=point, error=f"{type(exc).__name__}: {exc}"
-            )
-            key = ""
-        else:
-            result = None
-        cross_seeded = False
-        if result is None:
-            cached = cache.get(key) if cache is not None else None
-            if cached is not None:
-                result = replace(cached, point=point, from_cache=True)
-            else:
-                seed = warm if continuation else None
-                if seed is None and continuation:
-                    seed = cross_seeds.get(budget)
-                    cross_seeded = seed is not None
-                if scheme is Scheme.EQUAL_BW:
-                    seed = None
-                result = solve_point(
-                    point, key=key, warm_start=seed,
-                    should_stop=should_stop, service=service,
-                )
-                if cache is not None:
-                    cache.put(key, result)
-        status = (
-            "cached" if result.from_cache
-            else ("error" if not result.ok else "solved")
-        )
-        counts[status] = counts.get(status, 0) + 1
-        candidates.labels(outcome=status).inc()
-        if status == "solved":
-            if result.warm_start == "accepted":
-                warm_counts["accepted"] += 1
-                if cross_seeded:
-                    warm_counts["cross_accepted"] += 1
-            elif result.warm_start.startswith("rejected"):
-                warm_counts["rejected"] += 1
-            else:
-                warm_counts["cold"] += 1
-        results.append(result)
-        done += 1
-        emit({
-            "type": "cell",
-            "done": done,
-            "total": total,
-            "label": point.label(),
-            "key": result.key,
-            "status": status,
-            "warm_start": result.warm_start,
-            "error": result.error,
-        })
-        if result.ok and scheme is not Scheme.EQUAL_BW:
-            optima[budget] = result.bandwidths_gbps
-            if continuation:
-                warm = result.bandwidths_gbps
-    return results, optima, done

@@ -170,3 +170,34 @@ def test_pinned_keys_of_composite_scenarios_and_points():
     assert build_scenario("3D-512", [renamed], total_bw_gbps=500).key() == (
         "f30a4910b0a7b6c0afd6a74f416865c5954cc2b5a83741a2cc6ab2df580cca47"
     )
+
+
+def test_engine_key_is_digested_once_per_instance(monkeypatch):
+    import repro.api.scenario as scenario_module
+
+    scenario = build_scenario("3D-512", ["GPT-3"], total_bw_gbps=500)
+    calls = []
+    digest = scenario_module.digest
+    monkeypatch.setattr(
+        scenario_module, "digest",
+        lambda payload: calls.append(1) or digest(payload),
+    )
+    first = scenario.engine_key()
+    assert scenario.engine_key() is first
+    assert len(calls) == 1
+    assert first == PINNED_SCENARIOS["GPT-3/3D-512"][1]
+
+
+def test_replaced_scenario_recomputes_its_engine_key():
+    scenario = build_scenario("3D-512", ["GPT-3"], total_bw_gbps=500)
+    key = scenario.engine_key()
+    # Constraints are not engine inputs: same key, computed afresh.
+    rebudgeted = scenario.with_constraints(
+        ConstraintSet(3).with_total_bandwidth(gbps(700))
+    )
+    assert rebudgeted._engine_key is None
+    assert rebudgeted.engine_key() == key
+    other = replace(scenario, loop="tp-dp-overlap")
+    assert other._engine_key is None
+    assert other.engine_key() != key
+    _assert_scenario_keys(other)

@@ -42,7 +42,6 @@ class TestCostrategyRequestEnvelope:
             scheme=Scheme.PERF_OPT,
             dim_caps_gbps=((0, 150.0),),
             cache_dir="warm-strategies",
-            cross_warm=False,
             attribution=False,
         )
         envelope = request_to_dict(request)
@@ -54,7 +53,18 @@ class TestCostrategyRequestEnvelope:
         assert parsed.space == StrategySpace(max_tp=2)
         assert parsed.dim_caps_gbps == ((0, 150.0),)
         assert parsed.cache_dir == "warm-strategies"
-        assert parsed.cross_warm is False and parsed.attribution is False
+        assert parsed.attribution is False
+        assert request_to_dict(parsed) == envelope
+
+    def test_v5_payload_with_cross_warm_key_parses(self):
+        """Payloads and job records written while cross-strategy seeding
+        was an option still load; the key is ignored."""
+        envelope = request_to_dict(_costrategy_request())
+        assert "cross_warm" not in envelope["request"]
+        legacy = json.loads(json.dumps(envelope))
+        legacy["request"]["cross_warm"] = False
+        parsed = request_from_dict(legacy)
+        assert isinstance(parsed, CostrategyRequest)
         assert request_to_dict(parsed) == envelope
 
     def test_default_space_round_trips_as_null(self):

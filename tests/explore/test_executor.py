@@ -190,6 +190,35 @@ class TestParallelExecution:
             # propagation follows the identical path in both modes.
             assert a.to_dict() == b.to_dict()
 
+    def test_strategy_family_serial_equals_spawn_pool(self):
+        """Tagged strategy columns form one family — one pool task — so
+        their cross-column seeds follow the serial path; a plain column
+        beside them is a family of its own."""
+        from repro.strategy import tagged_workload
+        from repro.workloads import Parallelism
+
+        topology = "Google TPUv2"  # 8 NPUs
+        columns = [
+            tagged_workload("Turing-NLG", 8, Parallelism(tp, 8 // tp))
+            for tp in (1, 2)
+        ] + ["DLRM"]
+        points = [
+            ExplorationPoint(workload, topology, budget, Scheme.PERF_OPT)
+            for workload in columns
+            for budget in (100.0, 200.0)
+        ]
+        serial = run_sweep(points, workers=1)
+        pool = run_sweep(points, workers=2, mp_context="spawn")
+        assert [a.to_dict() for a in serial.results] == [
+            b.to_dict() for b in pool.results
+        ]
+        assert serial.profile.chains == pool.profile.chains == 3
+        assert serial.profile.cross_warm_accepted >= 1
+        assert (
+            serial.profile.cross_warm_accepted
+            == pool.profile.cross_warm_accepted
+        )
+
     def test_parallel_fills_cache(self):
         cache = ResultCache()
         spec = tiny_spec()

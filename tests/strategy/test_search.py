@@ -5,7 +5,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.results import Scheme
 from repro.explore.cache import ResultCache
+from repro.explore.executor import solve_point
+from repro.explore.keys import point_key, resolve_topology
+from repro.explore.spec import ExplorationPoint
 from repro.strategy import (
     StrategyFrontier,
     StrategySpace,
@@ -16,6 +20,7 @@ from repro.strategy import (
     tagged_workload,
 )
 from repro.utils.errors import ConfigurationError, JobCancelled
+from repro.workloads import Parallelism
 
 WORKLOAD = "Turing-NLG"
 TOPOLOGY = "Google TPUv2"  # RI(4)_RI(2), 8 NPUs — two tp<=2 strategies
@@ -103,7 +108,9 @@ class TestJointSearch:
             for r in search.runs[1].results
         ]
 
-    def test_events_narrate_plan_strategies_and_cells(self):
+    def test_events_narrate_plan_chains_and_cells(self):
+        """Costrategy progress speaks the sweep's vocabulary: one chain
+        per strategy column, labelled with the tagged workload."""
         events = []
         joint_search(
             WORKLOAD, TOPOLOGY, (100.0,), space=SPACE,
@@ -111,12 +118,18 @@ class TestJointSearch:
         )
         kinds = [event["type"] for event in events]
         assert kinds[0] == "plan"
-        assert events[0]["total"] == 2
+        assert events[0]["total"] == 2 and events[0]["chains"] == 2
         assert kinds.count("cell") == 2
-        assert kinds.count("strategy") == 4  # start/done per strategy
+        assert set(kinds) == {"plan", "chain", "cell"}
+        chains = [event for event in events if event["type"] == "chain"]
+        assert [(c["status"], c["chain"]) for c in chains] == [
+            ("start", 0), ("done", 0), ("start", 1), ("done", 1),
+        ]
         assert events[-1] == {
-            "type": "strategy", "status": "done", "index": 1,
-            "strategies": 2, "label": "HP-(2, 4)",
+            "type": "chain", "status": "done", "chain": 1, "chains": 2,
+            "cells": 1,
+            "label": f"{WORKLOAD}#tp2-dp4 @ {TOPOLOGY} "
+                     "[PerfOptBW/table1-default]",
         }
 
     def test_cancellation_between_cells(self):
@@ -145,13 +158,120 @@ class TestJointSearch:
         assert a.name != b.name
         assert a.canonical() != b.canonical()
 
+    def test_tagged_workload_is_shared_per_key(self):
+        strategy = search_strategy("tp2-dp4")
+        first = tagged_workload(WORKLOAD, 8, strategy)
+        assert tagged_workload(WORKLOAD, 8, Parallelism(2, 4)) is first
+        assert first.encoded() is tagged_workload(
+            WORKLOAD, 8, strategy
+        ).encoded()
+        assert tagged_workload(WORKLOAD, 8, Parallelism(1, 8)) is not first
+        tagged_workload.cache_clear()
+        rebuilt = tagged_workload(WORKLOAD, 8, strategy)
+        assert rebuilt is not first
+        assert rebuilt.canonical() == first.canonical()
+
 
 def search_strategy(slug):
-    from repro.workloads import Parallelism
-
     return {
         "tp1-dp8": Parallelism(1, 8), "tp2-dp4": Parallelism(2, 4)
     }[slug]
+
+
+def reference_search(workload, topology, budgets, space, scheme, cache):
+    """The joint search as one serial loop, the reference for its seeding.
+
+    Strategy-major, budgets ascending. A cell seeds from its column's
+    latest optimum, cached or solved; failing that, from the previous
+    column's optimum at the same budget. Returns the rows and the count of
+    accepted warm starts that took the cross-strategy seed.
+    """
+    network = resolve_topology(topology)
+    strategies, _ = space.split(network.num_npus, network)
+    rows, previous, crossed_accepted = [], {}, 0
+    for strategy in strategies:
+        concrete = tagged_workload(workload, network.num_npus, strategy)
+        warm, optima = None, {}
+        for budget in sorted(budgets):
+            point = ExplorationPoint(concrete, topology, budget, scheme)
+            key = point_key(point)
+            cached = cache.get(key)
+            if cached is not None:
+                result = replace(cached, point=point, from_cache=True)
+            else:
+                seed = warm if warm is not None else previous.get(budget)
+                result = solve_point(point, key=key, warm_start=seed)
+                cache.put(key, result)
+                crossed_accepted += (
+                    warm is None and seed is not None
+                    and result.warm_start == "accepted"
+                )
+            rows.append(result)
+            if result.ok and scheme is not Scheme.EQUAL_BW:
+                warm = optima[budget] = result.bandwidths_gbps
+        previous = optima
+    return rows, crossed_accepted
+
+
+def _prefilled(rows):
+    cache = ResultCache()
+    for row in rows:
+        cache.put(row.key, row)
+    return cache
+
+
+class TestMatchesSerialReference:
+    """``joint_search`` through ``run_sweep`` equals the serial loop byte
+    for byte, on fresh caches and on every crash-recovery cache state."""
+
+    def _assert_matches(self, workload, topology, budgets, space, scheme,
+                        rows=()):
+        search = joint_search(
+            workload, topology, budgets, space=space, scheme=scheme,
+            cache=_prefilled(rows),
+        )
+        reference, crossed = reference_search(
+            workload, topology, budgets, space, scheme, _prefilled(rows)
+        )
+        assert [row.to_dict() for row in search.rows()] == [
+            row.to_dict() for row in reference
+        ]
+        assert search.diagnostics["cross_warm_accepted"] == crossed
+        return search
+
+    @pytest.mark.parametrize(
+        "scheme", [Scheme.PERF_OPT, Scheme.PERF_PER_COST_OPT]
+    )
+    def test_smoke_grid(self, scheme):
+        search = self._assert_matches(
+            WORKLOAD, TOPOLOGY, BUDGETS, SPACE, scheme
+        )
+        assert search.diagnostics["cross_warm_accepted"] >= 1
+
+    def test_gpt3_on_a_512_npu_fabric(self):
+        search = self._assert_matches(
+            "GPT-3", "RI(8)_FC(8)_SW(8)", (150.0, 350.0, 600.0, 900.0),
+            StrategySpace(max_tp=16), Scheme.PERF_OPT,
+        )
+        assert len(search.runs) >= 3
+
+    def test_every_search_order_prefix_of_the_cache(self):
+        """A crash after k cells leaves the first k in the cache; the
+        recovered search seeds exactly like the uninterrupted one."""
+        fresh, _ = reference_search(
+            WORKLOAD, TOPOLOGY, BUDGETS, SPACE, Scheme.PERF_OPT,
+            ResultCache(),
+        )
+        for k in range(len(fresh) + 1):
+            search = self._assert_matches(
+                WORKLOAD, TOPOLOGY, BUDGETS, SPACE, Scheme.PERF_OPT,
+                rows=fresh[:k],
+            )
+            assert search.diagnostics["cached"] == k
+            assert [
+                replace(row, from_cache=False).to_dict()
+                for row in search.rows()
+            ] == [row.to_dict() for row in fresh]
 
 
 class TestFrontier:
