@@ -6,8 +6,9 @@ output can be compared side by side with the publication), asserts the
 qualitative *shape* (who wins, rough factors, crossovers), and hands a
 representative kernel to pytest-benchmark for timing.
 
-Absolute numbers are not expected to match the authors' ASTRA-sim testbed;
-EXPERIMENTS.md records paper-vs-measured for every experiment.
+Absolute numbers are not expected to match the authors' ASTRA-sim testbed.
+Each benchmark prints its paper reference next to the measured value, and
+states in place any known gap between the two.
 """
 
 from __future__ import annotations

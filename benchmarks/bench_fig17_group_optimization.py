@@ -53,7 +53,7 @@ def test_fig17_group_optimization(benchmark):
         # the group network stays close to optimal for everyone. (Our
         # water-filled single-target allocations are more extreme than the
         # paper's, so both the worst cross-slowdown and the group average
-        # land above the paper's 1.77x / 1.01x — see EXPERIMENTS.md.)
+        # land above the paper's 1.77x / 1.01x: a known gap.)
         assert study.worst_cross_slowdown > 1.05
         assert study.average_group_slowdown < 1.3
         assert max(study.slowdowns["group"].values()) <= study.worst_cross_slowdown

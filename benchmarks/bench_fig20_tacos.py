@@ -82,8 +82,8 @@ def test_fig20_tacos(benchmark):
 
     # Shape: the co-design beats the staged algorithm on LIBRA's own network
     # and wins clearly on perf-per-cost. Its perf-per-cost pick may trade a
-    # little raw speed for cost (the paper's 1.08x speed edge over
-    # TACOS-only does not fully reproduce — see EXPERIMENTS.md); the
+    # little raw speed for cost (a known gap: the paper's 1.08x speed edge
+    # over TACOS-only does not reproduce, this pick runs slower); the
     # perf-objective pick is never slower than TACOS-on-EqualBW because the
     # equal allocation is in its candidate family.
     assert lt_time < lo_time

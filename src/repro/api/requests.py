@@ -29,6 +29,7 @@ from repro.api.registry import resolve_scheme
 from repro.api.scenario import Scenario
 from repro.core.results import DesignPoint, Scheme
 from repro.utils.errors import ConfigurationError
+from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:  # explore/strategy sit above the api layer; never import here
     from repro.explore.records import SweepResult
@@ -141,10 +142,8 @@ class OptimizeRequest:
                     f"warm_start needs {self.scenario.network.num_dims} "
                     f"bandwidths, got {len(values)}"
                 )
-            if any(b <= 0 for b in values):
-                raise ConfigurationError(
-                    f"warm_start bandwidths must be positive, got {values}"
-                )
+            for value in values:
+                check_positive(value, "warm_start bandwidths")
             object.__setattr__(self, "warm_start", values)
         if self.max_starts is not None and self.max_starts < 1:
             raise ConfigurationError(
@@ -157,10 +156,8 @@ class OptimizeRequest:
                     f"expected {self.scenario.network.num_dims} bandwidths, "
                     f"got {len(values)}"
                 )
-            if any(b <= 0 for b in values):
-                raise ConfigurationError(
-                    f"bandwidths must be positive, got {values}"
-                )
+            for value in values:
+                check_positive(value, "bandwidths")
             object.__setattr__(self, "bandwidths_gbps", values)
         elif self.scenario.constraints is None:
             raise ConfigurationError(
@@ -455,10 +452,8 @@ class AnalyzeRequest:
                     f"expected {self.scenario.network.num_dims} bandwidths, "
                     f"got {len(values)}"
                 )
-            if any(b <= 0 for b in values):
-                raise ConfigurationError(
-                    f"bandwidths must be positive, got {values}"
-                )
+            for value in values:
+                check_positive(value, "bandwidths")
             object.__setattr__(self, "bandwidths_gbps", values)
         object.__setattr__(self, "queries", tuple(self.queries))
         for query in self.queries:
@@ -633,18 +628,14 @@ class CostrategyRequest:
             raise ConfigurationError(
                 "costrategy request needs at least one bandwidth budget"
             )
-        if any(b <= 0 for b in budgets):
-            raise ConfigurationError(
-                f"bandwidth budgets must be positive, got {budgets}"
-            )
+        for budget in budgets:
+            check_positive(budget, "bandwidth budgets")
         object.__setattr__(self, "budgets_gbps", budgets)
         caps = tuple(
             (int(dim), float(cap)) for dim, cap in self.dim_caps_gbps
         )
-        if any(cap <= 0 for _, cap in caps):
-            raise ConfigurationError(
-                f"dimension caps must be positive, got {caps}"
-            )
+        for _, cap in caps:
+            check_positive(cap, "dimension caps")
         object.__setattr__(self, "dim_caps_gbps", caps)
 
     def to_dict(self) -> dict:

@@ -44,6 +44,7 @@ from repro.training.compute import ComputeModel, a100_compute_model
 from repro.utils.canonical import digest
 from repro.utils.errors import ConfigurationError, ReproError
 from repro.utils.units import gbps
+from repro.utils.validation import check_positive
 from repro.workloads.parser import parse_workload, serialize_workload
 from repro.workloads.workload import Workload
 
@@ -99,10 +100,7 @@ class ScenarioWorkload:
     preset: str = ""
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ConfigurationError(
-                f"workload weight must be positive, got {self.weight}"
-            )
+        check_positive(self.weight, "workload weight")
 
     def to_dict(self) -> dict:
         if self.preset:
@@ -115,10 +113,13 @@ class ScenarioWorkload:
     ) -> "ScenarioWorkload":
         payload = _expect_mapping(payload, path)
         weight = payload.get("weight", 1.0)
-        if not isinstance(weight, (int, float)) or weight <= 0:
+        try:
+            check_positive(weight, "weight")
+        except (ConfigurationError, TypeError):
             raise ScenarioValidationError(
-                f"{path}.weight", f"expected a positive number, got {weight!r}"
-            )
+                f"{path}.weight",
+                f"expected a positive finite number, got {weight!r}",
+            ) from None
         if "preset" in payload:
             name = payload["preset"]
             if not isinstance(name, str):

@@ -117,7 +117,7 @@ def register_analysis_families(registry) -> None:
 
     Same contract as the serve tier's durability families: a server that
     has not yet analyzed anything still renders all three families, so
-    the obs-smoke assertion can tell "never requested" from "renamed
+    the live-scrape test can tell "never requested" from "renamed
     away". Label values are enumerated up front — they are closed sets.
     """
     requests = registry.counter(
@@ -144,7 +144,7 @@ def register_strategy_families(registry) -> None:
     """Pre-register the strategy families so scrapes show them at zero.
 
     Same contract as :func:`register_analysis_families`: a server that has
-    never run a costrategy job still renders both families, so obs-smoke
+    never run a costrategy job still renders both families, so a scrape
     can tell "never requested" from "renamed away". The ``outcome`` label
     is a closed set.
     """

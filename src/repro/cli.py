@@ -963,13 +963,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             )
 
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    progress = None
+    on_event = None
     if args.progress:
-        def progress(done: int, total: int, result) -> None:
-            status = "cached" if result.from_cache else (
-                "error" if not result.ok else "solved"
-            )
-            print(f"[{done}/{total}] {result.point.label()}: {status}")
+        def on_event(event: dict) -> None:
+            if event["type"] == "cell":
+                print(
+                    f"[{event['done']}/{event['total']}] "
+                    f"{event['label']}: {event['status']}"
+                )
 
     tracer = None
     if args.trace:
@@ -981,16 +982,16 @@ def _cmd_explore(args: argparse.Namespace) -> int:
                 spec,
                 cache=cache,
                 workers=args.workers,
-                progress=progress,
                 continuation=not args.no_continuation,
+                on_event=on_event,
             )
     else:
         sweep = run_sweep(
             spec,
             cache=cache,
             workers=args.workers,
-            progress=progress,
             continuation=not args.no_continuation,
+            on_event=on_event,
         )
 
     print(

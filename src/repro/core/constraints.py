@@ -14,6 +14,7 @@ are in bytes/s everywhere; benchmarks convert from GB/s at the boundary.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,6 +23,7 @@ import numpy as np
 
 from repro.utils.errors import ConfigurationError, OptimizationError
 from repro.utils.units import GBPS
+from repro.utils.validation import check_positive
 
 #: Dimensions may never be sized to zero — a zero-bandwidth dimension would
 #: make collective times infinite. 0.01 GB/s is far below any design point
@@ -48,6 +50,12 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         if self.lower is None and self.upper is None:
             raise ConfigurationError(f"constraint {self.label!r} has neither bound")
+        numbers = (*self.coeffs, self.lower, self.upper)
+        if not all(math.isfinite(v) for v in numbers if v is not None):
+            raise ConfigurationError(
+                f"constraint {self.label!r} must be finite, got "
+                f"coefficients {self.coeffs}, bounds [{self.lower}, {self.upper}]"
+            )
         if (
             self.lower is not None
             and self.upper is not None
@@ -85,8 +93,7 @@ class ConstraintSet:
     def __init__(self, num_dims: int, min_bandwidth: float = DEFAULT_MIN_BANDWIDTH):
         if num_dims < 1:
             raise ConfigurationError(f"num_dims must be >= 1, got {num_dims}")
-        if min_bandwidth <= 0:
-            raise ConfigurationError(f"min_bandwidth must be positive, got {min_bandwidth}")
+        check_positive(min_bandwidth, "min_bandwidth")
         self.num_dims = num_dims
         self.min_bandwidth = min_bandwidth
         self.rows: list[LinearConstraint] = []
@@ -98,8 +105,7 @@ class ConstraintSet:
 
     def with_total_bandwidth(self, total: float, equality: bool = True) -> "ConstraintSet":
         """Budget the aggregate per-NPU bandwidth: ``Σ B_i = total`` (or ≤)."""
-        if total <= 0:
-            raise ConfigurationError(f"total bandwidth must be positive, got {total}")
+        check_positive(total, "total bandwidth")
         if total < self.num_dims * self.min_bandwidth:
             raise ConfigurationError(
                 f"total bandwidth {total} cannot cover {self.num_dims} dimensions "
@@ -122,6 +128,7 @@ class ConstraintSet:
         """Clamp one dimension's bandwidth: ``lower ≤ B_dim ≤ upper``."""
         self._check_dim(dim)
         if lower is not None:
+            check_positive(lower, f"dim {dim} lower bound")
             if lower < self.min_bandwidth:
                 raise ConfigurationError(
                     f"dim {dim} lower bound {lower} is below the minimum bandwidth "
@@ -129,8 +136,7 @@ class ConstraintSet:
                 )
             self._lower_bounds[dim] = max(self._lower_bounds[dim], lower)
         if upper is not None:
-            if upper <= 0:
-                raise ConfigurationError(f"dim {dim} upper bound must be positive, got {upper}")
+            check_positive(upper, f"dim {dim} upper bound")
             self._upper_bounds[dim] = min(self._upper_bounds[dim], upper)
         if self._lower_bounds[dim] > self._upper_bounds[dim]:
             raise ConfigurationError(
@@ -285,13 +291,17 @@ class ConstraintSet:
                     raise ConfigurationError(
                         f"expected {built.num_dims} lower bounds, got {len(lower)}"
                     )
-                built._lower_bounds = np.asarray([float(b) for b in lower])
+                built._lower_bounds = np.asarray(
+                    [check_positive(float(b), "lower bounds") for b in lower]
+                )
             if upper is not None:
                 if len(upper) != built.num_dims:
                     raise ConfigurationError(
                         f"expected {built.num_dims} upper bounds, got {len(upper)}"
                     )
-                built._upper_bounds = np.asarray([float(b) for b in upper])
+                built._upper_bounds = np.asarray(
+                    [check_positive(float(b), "upper bounds") for b in upper]
+                )
             if np.any(built._lower_bounds > built._upper_bounds):
                 raise ConfigurationError("constraint payload has empty box bounds")
             for row in payload.get("rows", ()):
@@ -310,7 +320,10 @@ class ConstraintSet:
                     )
                 )
             total = payload.get("total_bandwidth")
-            built.total_bandwidth = None if total is None else float(total)
+            built.total_bandwidth = (
+                None if total is None
+                else check_positive(float(total), "total bandwidth")
+            )
             return built
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(

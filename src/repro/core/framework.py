@@ -41,6 +41,7 @@ from repro.training.compute import ComputeModel, a100_compute_model
 from repro.training.estimator import training_time_expression
 from repro.training.loops import NoOverlapLoop, TrainingLoop
 from repro.utils.errors import ConfigurationError, OptimizationError
+from repro.utils.validation import check_positive
 from repro.workloads.workload import Workload
 
 
@@ -75,8 +76,7 @@ class Libra:
 
     def add_workload(self, workload: Workload, weight: float = 1.0) -> "Libra":
         """Register a target workload with an importance weight (Sec. IV-F)."""
-        if weight <= 0:
-            raise ConfigurationError(f"workload weight must be positive, got {weight}")
+        check_positive(weight, "workload weight")
         if workload.parallelism.total_npus != self.network.num_npus:
             raise ConfigurationError(
                 f"{workload.name} occupies {workload.parallelism.total_npus} NPUs "

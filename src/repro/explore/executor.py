@@ -78,9 +78,6 @@ CHAIN_RETRY_ATTEMPTS = 2
 #: Base backoff between pool-rebuild rounds (seconds, exponential).
 POOL_RETRY_BACKOFF_S = 0.25
 
-#: Called after each resolved cell with (done, total, result).
-ProgressCallback = Callable[[int, int, ExplorationResult], None]
-
 #: Called with structured progress dicts (the callback seam consumers such
 #: as ``repro.serve`` adapt into typed events). Every dict carries a
 #: ``"type"`` discriminator:
@@ -329,7 +326,6 @@ def run_sweep(
     *,
     cache: ResultCache | None = None,
     workers: int = 1,
-    progress: ProgressCallback | None = None,
     continuation: bool = True,
     on_event: EventCallback | None = None,
     should_stop: Callable[[], bool] | None = None,
@@ -345,16 +341,14 @@ def run_sweep(
             fresh solves are stored back.
         workers: Process-pool width; ``1`` solves inline in this process.
             Chains (not single cells) are the unit of fan-out.
-        progress: Optional callback invoked after each resolved cell with
-            ``(done, total, result)`` — cache hits first, then solves in
-            completion order. Each grid cell reports exactly once, so
-            ``done`` never exceeds ``total``.
         continuation: Propagate warm starts through budget-ordered chains
             (default). ``False`` solves every cell from cold seeds — the
             reference path for benchmarks and equivalence checks.
         on_event: Structured-progress seam (see :data:`EventCallback`):
             one ``plan`` dict after cache lookup, one ``cell`` dict per
-            resolved cell, ``chain`` start/done dicts around each
+            resolved cell — cache hits first, then solves in completion
+            order; each grid cell reports exactly once, so ``done`` never
+            exceeds ``total`` — and ``chain`` start/done dicts around each
             continuation chain. Called from the coordinating process only.
         should_stop: Cooperative cancellation predicate, polled between
             cells (inline) or between chain completions (process pool),
@@ -383,12 +377,12 @@ def run_sweep(
     tracer = obs_trace.get_tracer()
     if tracer is obs_trace.NULL_TRACER:
         return _run_sweep_impl(
-            spec, cache, workers, progress, continuation, on_event,
+            spec, cache, workers, continuation, on_event,
             should_stop, service, mp_context,
         )
     with tracer.span("sweep") as span:
         sweep = _run_sweep_impl(
-            spec, cache, workers, progress, continuation, on_event,
+            spec, cache, workers, continuation, on_event,
             should_stop, service, mp_context,
         )
         span.set("total", len(sweep.results))
@@ -402,7 +396,6 @@ def _run_sweep_impl(
     spec: SweepSpec | Iterable[ExplorationPoint],
     cache: ResultCache | None,
     workers: int,
-    progress: ProgressCallback | None,
     continuation: bool,
     on_event: EventCallback | None,
     should_stop: Callable[[], bool] | None,
@@ -434,8 +427,6 @@ def _run_sweep_impl(
             else ("error" if not result.ok else "solved")
         )
         cells_counter.labels(status=status).inc()
-        if progress is not None:
-            progress(done, total, result)
         emit({
             "type": "cell",
             "done": done,

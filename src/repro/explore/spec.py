@@ -30,6 +30,7 @@ from repro.api.registry import SCHEME_ALIASES, resolve_scheme  # noqa: F401
 from repro.core.results import Scheme
 from repro.cost.model import CostModel
 from repro.utils.errors import ConfigurationError
+from repro.utils.validation import check_positive
 from repro.workloads.workload import Workload
 
 # SCHEME_ALIASES / resolve_scheme moved to repro.api.registry (the one
@@ -59,15 +60,18 @@ class ExplorationPoint:
     dim_caps_gbps: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.total_bw_gbps <= 0:
-            raise ConfigurationError(
-                f"bandwidth budget must be positive, got {self.total_bw_gbps}"
-            )
-        object.__setattr__(self, "total_bw_gbps", float(self.total_bw_gbps))
+        object.__setattr__(
+            self,
+            "total_bw_gbps",
+            check_positive(float(self.total_bw_gbps), "bandwidth budget"),
+        )
         object.__setattr__(
             self,
             "dim_caps_gbps",
-            tuple((int(dim), float(cap)) for dim, cap in self.dim_caps_gbps),
+            tuple(
+                (int(dim), check_positive(float(cap), "dimension caps"))
+                for dim, cap in self.dim_caps_gbps
+            ),
         )
 
     @property
@@ -141,7 +145,10 @@ class SweepSpec:
         object.__setattr__(
             self,
             "dim_caps_gbps",
-            tuple((int(dim), float(cap)) for dim, cap in self.dim_caps_gbps),
+            tuple(
+                (int(dim), check_positive(float(cap), "dimension caps"))
+                for dim, cap in self.dim_caps_gbps
+            ),
         )
         for name, axis in (
             ("workloads", self.workloads),
@@ -152,10 +159,8 @@ class SweepSpec:
         ):
             if not axis:
                 raise ConfigurationError(f"sweep axis {name!r} must not be empty")
-        if any(b <= 0 for b in self.bandwidths_gbps):
-            raise ConfigurationError(
-                f"bandwidth budgets must be positive, got {self.bandwidths_gbps}"
-            )
+        for budget in self.bandwidths_gbps:
+            check_positive(budget, "bandwidth budgets")
 
     @property
     def num_points(self) -> int:

@@ -13,8 +13,8 @@ Three independent pillars, each off by default and each stdlib-only:
 (:data:`NULL_TRACER`, :data:`NULL_REGISTRY`, a ``NullHandler`` root), so
 instrumentation in hot paths costs an attribute lookup and an empty
 call — the BENCH_solver / BENCH_sweep CI floors hold either way.
-:mod:`repro.obs.names` is the canonical metric-name table; the
-``obs-smoke`` CI job pins it against a live scrape.
+:mod:`repro.obs.names` is the canonical metric-name table; a tier-1
+test pins it against a live scrape.
 """
 
 from repro.obs.log import get_logger, reset_logging, setup_logging

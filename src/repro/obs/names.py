@@ -1,9 +1,9 @@
 """The canonical metric-family name table.
 
-Every instrumented call site imports its family name from here, and the
-``obs-smoke`` CI job asserts :data:`REQUIRED_FAMILIES` are all present
-in a live ``/v3/metrics`` scrape — so renaming a metric is a loud,
-single-file change instead of silent dashboard drift.
+Every instrumented call site imports its family name from here, and
+``tests/smoke/test_server.py`` asserts :data:`REQUIRED_FAMILIES` are all
+present in a live ``/v3/metrics`` scrape — so renaming a metric is a
+loud, single-file change instead of silent dashboard drift.
 
 Naming follows Prometheus conventions: ``repro_`` prefix, base units in
 the name (``_seconds``), ``_total`` suffix on counters. Labels are
@@ -73,8 +73,8 @@ CACHE_PEER_HITS = "repro_cache_peer_hits_total"
 
 # -- fleet (serve/fleet.py) ---------------------------------------------------
 # These four only register on servers started with ``--fleet``, so they
-# are deliberately NOT in REQUIRED_FAMILIES (obs-smoke scrapes a plain
-# single server).
+# are deliberately NOT in REQUIRED_FAMILIES (the live-scrape test runs a
+# plain single server).
 #: Counter{outcome=won|lost}: lease-claim attempts.
 FLEET_CLAIMS = "repro_fleet_claims_total"
 #: Counter: stale leases taken over from a dead/silent peer.
@@ -106,15 +106,15 @@ HTTP_REQUESTS = "repro_http_requests_total"
 #: Histogram{route}: request handling wall time.
 HTTP_SECONDS = "repro_http_request_seconds"
 
-#: Families the obs-smoke CI job requires in a live scrape after it has
-#: run one optimize job and one cache-backed batch job. (Gauges render
+#: Families the live-scrape test requires after it has run one optimize
+#: job and one cache-backed batch job. (Gauges render
 #: even at zero once registered; counters with enum labels appear once
 #: any series fires; the durability and analyze families are pre-registered
 #: at server construction so a healthy-but-never-crashed (or never-analyzed)
 #: server still scrapes them at zero. ``CACHE_EVICTIONS`` is the one family
 #: deliberately absent: it needs a bounded memory tier to overflow, which
 #: no smoke run does. The ``repro_fleet_*`` families are likewise absent:
-#: they register only on ``--fleet`` servers, which obs-smoke does not run.)
+#: they register only on ``--fleet`` servers, which that test does not run.)
 REQUIRED_FAMILIES = (
     SOLVER_SOLVES,
     SOLVER_STARTS,

@@ -33,7 +33,6 @@ from urllib.request import Request, urlopen
 from repro.api.requests import (
     BatchRequest,
     BatchResponse,
-    CostrategyRequest,
     OptimizeRequest,
     OptimizeResponse,
     request_to_dict,
@@ -229,18 +228,17 @@ class ServeClient:
         asserted to match — a mismatch means the server is not the
         deduping server this retry policy assumes, and surfaces as a
         non-transient error rather than silently diverging work.
-        (Batch and costrategy requests with a ``cache_dir`` skip the
-        assertion: the server rewrites the path under its ``--cache-root``
-        sandbox, which legitimately changes the content key.)
+        (A request with a ``cache_dir`` skips the assertion: the server
+        rewrites the path under its ``--cache-root`` sandbox, which
+        legitimately changes the content key.)
         """
         payload = (
             dict(request) if isinstance(request, Mapping)
             else request_to_dict(request)
         )
         expected = None
-        if not isinstance(request, Mapping) and not (
-            isinstance(request, (BatchRequest, CostrategyRequest))
-            and request.cache_dir
+        if not isinstance(request, Mapping) and not getattr(
+            request, "cache_dir", None
         ):
             expected = derive_job_id(job_content_key(request))
         for attempt in range(self.retries + 1):

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the durability test matrix.
 
 Crash-safety claims are only as good as the crashes they were tested
-against. This module lets tests (and the ``recovery-smoke`` CI job) drive
-the exact failure the durable store must survive — process death *between*
+against. This module lets tests (including ones that SIGKILL a live
+``repro serve`` mid-sweep) drive the exact failure the durable store must survive — process death *between*
 two persist steps, a worker raising mid-solve, an fsync that takes forever
 — without sleeps, signals-from-outside, or races.
 

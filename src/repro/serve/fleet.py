@@ -36,7 +36,7 @@ with the writer. A lease written on *this* host ages on the monotonic
 stamp — CLOCK_MONOTONIC is per-boot system-wide on Linux, so stamps
 compare exactly across processes on one host — with one accelerator: a
 same-host lease whose pid is dead is stale immediately (the common
-one-box-many-processes deployment, and the CI fleet-smoke job, never
+one-box-many-processes deployment, and the two-process fleet test, never
 wait out the ttl). A lease written on *another* host ages on the
 wall-clock ``renewed_at`` stamp instead, padded by
 :data:`DEFAULT_WALL_SKEW_S`: monotonic epochs are boot-relative and
@@ -118,7 +118,7 @@ def register_fleet_families(registry) -> None:
     """Pre-register the fleet families so a fleet server scrapes them at
     zero before its first claim (mirrors ``register_durability_families``;
     called from :meth:`FleetCoordinator.bind`, so non-fleet servers never
-    grow these series — obs-smoke's REQUIRED_FAMILIES stays fleet-free)."""
+    grow these series — REQUIRED_FAMILIES stays fleet-free)."""
     registry.counter(
         obs_names.FLEET_CLAIMS,
         "Lease-claim attempts by outcome.",

@@ -50,7 +50,6 @@ from repro.api.requests import (
     RESPONSE_SCHEMA_VERSION,
     AnalyzeRequest,
     BatchRequest,
-    CostrategyRequest,
     request_from_dict,
 )
 from repro.api.scenario import ScenarioValidationError
@@ -391,15 +390,11 @@ class ServeHandler(BaseHTTPRequestHandler):
         except ReproError as exc:
             self._send_error_json(400, str(exc))
             return
+        # Wire-supplied requests are untrusted. Over-cap batch workers are
+        # *rejected*, not silently clamped — job ids are content-derived,
+        # and a silent rewrite would make the id depend on this server's
+        # core count.
         if isinstance(request, BatchRequest):
-            # Wire-supplied batch requests are untrusted: bound their
-            # process fan-out and confine their server-side cache path.
-            # Over-cap workers are *rejected*, not silently clamped — job
-            # ids are content-derived, and a silent rewrite would make
-            # the id depend on this server's core count. (cache_dir IS
-            # rewritten under the root; the envelope's id is therefore
-            # authoritative for cached batches — clients must use it
-            # rather than re-deriving ids from their own payload.)
             workers_cap = max(1, os.cpu_count() or 1)
             if request.workers > workers_cap:
                 self._send_error_json(
@@ -409,17 +404,15 @@ class ServeHandler(BaseHTTPRequestHandler):
                     "across chains up to the cap)",
                 )
                 return
-            if request.cache_dir is not None:
-                request = self._sandbox_cache_dir(request)
-                if request is None:
-                    return
-        elif isinstance(request, CostrategyRequest):
-            # Costrategy requests carry the same server-side cache-path
-            # field as batches; confine it identically.
-            if request.cache_dir is not None:
-                request = self._sandbox_cache_dir(request)
-                if request is None:
-                    return
+        # Any request kind that names a server-side cache directory is
+        # confined under the cache root. The path IS rewritten, so the
+        # envelope's id is authoritative for such a request — clients
+        # must use it rather than re-deriving ids from their own payload.
+        if getattr(request, "cache_dir", None) is not None:
+            cache_dir = self._sandboxed_cache_path(request.cache_dir)
+            if cache_dir is None:
+                return
+            request = replace(request, cache_dir=cache_dir)
         try:
             handle = self.manager.submit(request)
         except ReproError as exc:
@@ -427,16 +420,6 @@ class ServeHandler(BaseHTTPRequestHandler):
             return
         self._job_ref = handle.id
         self._send_json(202, handle.info().to_dict())
-
-    def _sandbox_cache_dir(
-        self, request: BatchRequest | CostrategyRequest
-    ) -> BatchRequest | CostrategyRequest | None:
-        """Map a client-supplied ``cache_dir`` under the server's cache root.
-
-        Replies 400 and returns ``None`` on rejection.
-        """
-        path = self._sandboxed_cache_path(request.cache_dir)
-        return None if path is None else replace(request, cache_dir=path)
 
     def _sandboxed_cache_path(self, name: str) -> str | None:
         """Confine a client-supplied cache name under the server's root.
@@ -447,9 +430,9 @@ class ServeHandler(BaseHTTPRequestHandler):
         operator opted in (``repro serve --cache-root DIR``), and then as
         a relative name confined under that root — absolute paths and
         ``..`` traversal are rejected. Replies 400 and returns ``None``
-        on rejection. Both the batch submit path and ``GET /v3/analyze``
-        go through this, so the two surfaces agree on what a cache name
-        may reach.
+        on rejection. Every ``POST /v3/jobs`` request with a cache path
+        and ``GET /v3/analyze`` go through this, so all surfaces agree on
+        what a cache name may reach.
         """
         root = getattr(self.server, "cache_root", None)
         if root is None:
@@ -513,7 +496,7 @@ class ServeServer(ThreadingHTTPServer):
         manager.register_gauges(registry)
         # Durability and analysis families fire rarely (recovery,
         # retries, fsyncs; analyze requests); pre-registering renders
-        # them at zero so scrapes and the obs-smoke assertion see the
+        # them at zero so scrapes and the live-scrape test see the
         # full table on a healthy server.
         register_durability_families(registry)
         register_analysis_families(registry)

@@ -76,8 +76,8 @@ def register_durability_families(registry) -> None:
 
     These families fire rarely (recovery after a crash, transient
     retries, fsyncs only with a state dir) — without pre-registration a
-    healthy server's scrape would omit them entirely and the obs-smoke
-    assertion could not tell "never needed" from "renamed away".
+    healthy server's scrape would omit them entirely and the live-scrape
+    test could not tell "never needed" from "renamed away".
     Creating the default series renders an explicit zero.
     """
     registry.counter(

@@ -17,7 +17,7 @@ minimally and those seeds survive the solver's trust check.
 Every cell is cached under its content key, so re-running any single
 strategy's column independently (``run_sweep`` over its points, or another
 ``joint_search``) replays bit-identical rows from the cache — the
-determinism contract the serve tier's recovery path and the CI smoke job
+determinism contract the serve tier's recovery path and its kill -9 test
 lean on.
 """
 

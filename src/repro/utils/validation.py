@@ -5,11 +5,19 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from repro.utils.errors import ConfigurationError
+
 
 def check_positive(value: float, name: str) -> float:
-    """Return ``value`` if strictly positive and finite, else raise ValueError."""
+    """Return ``value`` if strictly positive and finite.
+
+    Raises :class:`ConfigurationError` (a ``ValueError``) otherwise. A bare
+    ``<= 0`` test lets NaN and infinity through; this one does not.
+    """
     if not math.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        raise ConfigurationError(
+            f"{name} must be positive and finite, got {value!r}"
+        )
     return value
 
 

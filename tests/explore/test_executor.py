@@ -50,11 +50,12 @@ class TestSerialExecution:
             # EqualBW splits the budget evenly across both dimensions.
             assert result.bandwidths_gbps[0] == pytest.approx(result.bandwidths_gbps[1])
 
-    def test_progress_callback(self):
+    def test_cell_events_report_progress(self):
         seen = []
         spec = tiny_spec()
-        run_sweep(spec, progress=lambda done, total, r: seen.append((done, total)))
-        assert seen == [(1, 2), (2, 2)]
+        run_sweep(spec, on_event=seen.append)
+        cells = [(e["done"], e["total"]) for e in seen if e["type"] == "cell"]
+        assert cells == [(1, 2), (2, 2)]
 
     def test_duplicate_points_solved_once(self):
         point = ExplorationPoint("Turing-NLG", TINY, 100.0, Scheme.PERF_OPT)
@@ -323,14 +324,12 @@ class TestFanoutAccounting:
     def test_duplicates_reported_as_fanout_not_extra_solves(self):
         point = ExplorationPoint("Turing-NLG", TINY, 100.0, Scheme.PERF_OPT)
         seen = []
-        sweep = run_sweep(
-            [point, point, point],
-            progress=lambda done, total, r: seen.append((done, total)),
-        )
+        sweep = run_sweep([point, point, point], on_event=seen.append)
         assert sweep.solver_calls == 1
         assert sweep.fanout_cells == 2
         # Every grid cell reports exactly once and done never exceeds total.
-        assert seen == [(1, 3), (2, 3), (3, 3)]
+        cells = [(e["done"], e["total"]) for e in seen if e["type"] == "cell"]
+        assert cells == [(1, 3), (2, 3), (3, 3)]
         assert sweep.to_dict()["fanout_cells"] == 2
 
     def test_unique_grid_has_zero_fanout(self):

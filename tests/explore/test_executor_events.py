@@ -95,14 +95,14 @@ class TestCancellation:
         def stop_after_one() -> bool:
             return len(solved) >= 1
 
-        def progress(done, total, result):
-            if not result.from_cache:
-                solved.append(result)
+        def on_event(event):
+            if event["type"] == "cell" and event["status"] != "cached":
+                solved.append(event)
 
         spec = tiny_spec(bandwidths_gbps=(100.0, 200.0, 300.0, 400.0))
         with pytest.raises(JobCancelled):
             run_sweep(
-                spec, cache=cache, progress=progress,
+                spec, cache=cache, on_event=on_event,
                 should_stop=stop_after_one,
             )
         rows = list(tmp_path.glob("*.json"))

@@ -1,27 +1,10 @@
 """Fault-injection harness: REPRO_FAULTS parsing and firing semantics."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.serve import faults
 from repro.serve.faults import CRASH_EXIT_CODE, FaultInjected, FaultPlan
 from repro.utils.errors import ConfigurationError, TransientError
-
-SRC = str(Path(__file__).parents[2] / "src")
-
-
-def _run_child(script: str, **env: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": SRC, **env},
-        capture_output=True,
-        timeout=60,
-    )
-
 
 @pytest.fixture(autouse=True)
 def _disarm():
@@ -111,7 +94,7 @@ class TestFiring:
 
 
 class TestCrash:
-    def test_crash_directive_kills_the_process(self):
+    def test_crash_directive_kills_the_process(self, procs):
         # os._exit cannot be observed in-process; a child takes the hit.
         script = (
             "from repro.serve import faults\n"
@@ -120,14 +103,14 @@ class TestCrash:
             "faults.fire('p')\n"   # firing 2: os._exit(CRASH_EXIT_CODE)
             "raise SystemExit(0)\n"
         )
-        proc = _run_child(script)
-        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr.decode()
+        proc = procs.python("-c", script)
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
 
-    def test_env_spec_arms_at_import(self):
+    def test_env_spec_arms_at_import(self, procs):
         script = (
             "from repro.serve import faults\n"
             "assert faults.active_plan() is not None\n"
             "faults.fire('p')\n"
         )
-        proc = _run_child(script, REPRO_FAULTS="crash:p")
-        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr.decode()
+        proc = procs.python("-c", script, faults="crash:p")
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr

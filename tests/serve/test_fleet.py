@@ -1,6 +1,6 @@
 """Fleet mode: lease safety, takeover, and multi-server recovery.
 
-Three tiers, mirroring ``tests/serve/test_recovery``:
+Four tiers, mirroring ``tests/serve/test_recovery``:
 
 * Lease mechanics over a fake clock — claim/renew/release/steal unit
   tests plus a hypothesis property test driving interleaved schedules
@@ -12,6 +12,8 @@ Three tiers, mirroring ``tests/serve/test_recovery``:
   mid-sweep (the kill -9 model); the parent takes the lease over via the
   dead-pid accelerator and finishes the sweep from the shared cache,
   bit-identically.
+* Two ``repro serve --fleet`` processes: one is SIGKILLed mid-sweep, and
+  a client follows the job to completion on the survivor over HTTP.
 """
 
 import json
@@ -29,7 +31,9 @@ from repro.api.requests import BatchRequest, OptimizeRequest, request_to_dict
 from repro.api.scenario import build_scenario
 from repro.api.service import LibraService
 from repro.explore.spec import SweepSpec
+from repro.obs import names as obs_names
 from repro.serve import FleetCoordinator, JobManager, JobState, JobStore
+from repro.serve.client import ServeClient
 from repro.serve.faults import CRASH_EXIT_CODE
 from repro.serve.fleet import LEASE_VERSION, ClaimResult, LeaseStore
 from repro.serve.jobs import derive_job_id, job_content_key
@@ -38,7 +42,6 @@ from repro.utils.errors import ConfigurationError
 
 TOPOLOGY = "RI(3)_RI(2)"
 WORKLOAD = "Turing-NLG"
-SRC = str(Path(__file__).parents[2] / "src")
 JOB = "job-aaaaaaaaaaaa"
 
 
@@ -515,7 +518,7 @@ class TestFleetInProcess:
         finally:
             manager.shutdown(cancel_pending=False)
 
-    def test_mid_claim_crash_leaves_reclaimable_orphan(self, tmp_path):
+    def test_mid_claim_crash_leaves_reclaimable_orphan(self, procs, tmp_path):
         script = """
 import sys
 from repro.api.requests import OptimizeRequest
@@ -528,17 +531,11 @@ manager = JobManager(workers=1, store=store, fleet=fleet)
 manager.submit(OptimizeRequest(scenario=build_scenario(
     "{topology}", ["{workload}"], total_bw_gbps=300)))
 """.format(topology=TOPOLOGY, workload=WORKLOAD)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "state")],
-            env={
-                **os.environ,
-                "PYTHONPATH": SRC,
-                "REPRO_FAULTS": "crash:fleet.claim:1",
-            },
-            capture_output=True,
-            timeout=300,
+        proc = procs.python(
+            "-c", script, str(tmp_path / "state"),
+            faults="crash:fleet.claim:1",
         )
-        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr.decode()
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
         store = JobStore(tmp_path / "state")
         [job_id] = store.job_ids()
         assert store.read_record(job_id) is None  # lease only, no record
@@ -584,25 +581,16 @@ sys.exit(0)
 """.format(topology=TOPOLOGY, workload=WORKLOAD)
 
     def test_takeover_resumes_from_shared_cache_bit_identically(
-        self, tmp_path
+        self, procs, tmp_path
     ):
         cache_dir = str(tmp_path / "cache")
         # Event appends: queued, running, plan, chain-start, cell, cell —
         # crash after the 6th means exactly two cells solved and cached.
-        proc = subprocess.run(
-            [
-                sys.executable, "-c", self.SCRIPT,
-                str(tmp_path / "state"), cache_dir,
-            ],
-            env={
-                **os.environ,
-                "PYTHONPATH": SRC,
-                "REPRO_FAULTS": "crash:store.events.after:6",
-            },
-            capture_output=True,
-            timeout=300,
+        proc = procs.python(
+            "-c", self.SCRIPT, str(tmp_path / "state"), cache_dir,
+            faults="crash:store.events.after:6",
         )
-        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr.decode()
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
 
         store = JobStore(tmp_path / "state")
         # The victim's lease is still on disk (ttl 3600 — far from
@@ -628,13 +616,12 @@ sys.exit(0)
             assert response.sweep.cache_hits >= 2
             assert response.sweep.cache_hits + response.sweep.solver_calls == 4
 
-            # Bit-identical to an uninterrupted run.
+            # Bit-identical to an uninterrupted run that shares no cache.
             reference = LibraService().submit(BatchRequest(
                 spec=SweepSpec(
                     workloads=(WORKLOAD,), topologies=(TOPOLOGY,),
                     bandwidths_gbps=(100.0, 200.0, 300.0, 400.0),
                 ),
-                cache_dir=cache_dir,
             ))
 
             def rows(resp):
@@ -652,3 +639,63 @@ sys.exit(0)
             assert seqs == list(range(len(seqs)))
         finally:
             manager.shutdown(cancel_pending=False)
+
+
+class TestTwoServerFleet:
+    """Two real ``repro serve --fleet`` members on one state dir and cache.
+
+    Member A claims a sweep, its solves slowed so the kill lands mid-sweep,
+    and dies by SIGKILL. Member B sees the dead pid, takes the lease over,
+    and a client following the job on B rides it to completion.
+    """
+
+    def test_survivor_takes_over_and_reports_it(self, procs, tmp_path):
+        flags = (
+            "--workers", "1", "--fleet", "--lease-ttl", "5",
+            "--fleet-poll", "0.2", "--cache-root", str(tmp_path / "caches"),
+        )
+        state = tmp_path / "state"
+        member_a = procs.serve(
+            *flags, state_dir=state, faults="delay:worker.solve=0.6"
+        )
+        member_b = procs.serve(*flags, state_dir=state)
+        assert "fleet" in member_a.get_json("/healthz")
+        assert "owner" in member_b.get_json("/healthz")["fleet"]
+
+        job_id = ServeClient(member_a.url, timeout=30).submit(BatchRequest(
+            spec=SweepSpec(
+                workloads=(WORKLOAD,), topologies=(TOPOLOGY,),
+                bandwidths_gbps=(100.0, 200.0, 300.0, 400.0),
+            ),
+            cache_dir="study",
+        )).id
+        cursor = member_a.wait_for_cells(job_id, 2)
+        member_a.kill()
+
+        # The dead pid makes the lease stale at once (same host); B's
+        # scan requeues the job through the recovery path. B serves no
+        # mirror of a peer's live job, so it answers 404 until then.
+        deadline = time.monotonic() + 60
+        while member_b.get(f"/v3/jobs/{job_id}")[0] == 404:
+            assert time.monotonic() < deadline, "survivor never took over"
+            time.sleep(0.05)
+        survivor = ServeClient(member_b.url, timeout=120, retry_backoff_s=0.2)
+        resumed = []
+        survivor.follow_to_completion(
+            job_id, after=cursor, on_event=resumed.append
+        )
+        assert resumed and resumed[0].seq == cursor, "stream not gapless"
+        assert [e.seq for e in resumed] == list(
+            range(cursor, cursor + len(resumed))
+        )
+        reasons = [e.data.get("reason") for e in resumed if e.kind == "state"]
+        assert any(
+            r and r.startswith("reclaimed from dead owner") for r in reasons
+        ), reasons
+
+        _, samples = member_b.metrics()
+        takeovers = samples.get(obs_names.FLEET_TAKEOVERS, 0)
+        assert takeovers >= 1, f"no takeover recorded: {takeovers}"
+        fleet = member_b.get_json("/healthz")["fleet"]
+        assert fleet["owner"], fleet
+        assert fleet["draining"] is False, fleet

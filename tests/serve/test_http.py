@@ -1,14 +1,23 @@
 """The HTTP front end, driven through a real loopback socket."""
 
 import json
+import math
 import threading
 import urllib.request
 
 import pytest
 
-from repro.api.requests import OptimizeRequest, request_to_dict
+from repro.api.requests import (
+    AnalyzeRequest,
+    BatchRequest,
+    CostrategyRequest,
+    OptimizeRequest,
+    request_to_dict,
+)
 from repro.api.scenario import build_scenario
 from repro.api.service import LibraService
+from repro.core.results import Scheme
+from repro.explore.spec import ExplorationPoint, SweepSpec
 from repro.serve import JobManager, ServeClient, ServeClientError, create_server
 from repro.serve.jobs import JobState
 
@@ -105,9 +114,6 @@ class TestSubmissionPayloads:
 
     def test_over_cap_batch_workers_rejected_not_clamped(self, endpoint):
         """A silent clamp would change the content-derived job id."""
-        from repro.api.requests import BatchRequest, request_to_dict
-        from repro.explore.spec import SweepSpec
-
         payload = request_to_dict(BatchRequest(
             spec=SweepSpec(
                 workloads=(WORKLOAD,), topologies=(TOPOLOGY,),
@@ -119,6 +125,29 @@ class TestSubmissionPayloads:
             endpoint.submit(payload)
         assert err.value.status == 400
         assert "cap" in str(err.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("kind", ["optimize", "batch", "costrategy"])
+    def test_non_finite_numbers_rejected(self, endpoint, kind, value):
+        """Python's JSON decoder reads ``NaN``/``Infinity``; the API must not."""
+        if kind == "optimize":
+            payload = request_to_dict(_request())
+            payload["request"]["bandwidths_gbps"] = [100.0, value]
+        elif kind == "batch":
+            payload = request_to_dict(BatchRequest(spec=SweepSpec(
+                workloads=(WORKLOAD,), topologies=(TOPOLOGY,),
+                bandwidths_gbps=(100.0,),
+            )))
+            payload["request"]["spec"]["bandwidths_gbps"] = [value]
+        else:
+            payload = request_to_dict(CostrategyRequest(
+                workload=WORKLOAD, topology=TOPOLOGY, budgets_gbps=(100.0,),
+            ))
+            payload["request"]["budgets_gbps"] = [value]
+        with pytest.raises(ServeClientError) as err:
+            endpoint.submit(payload)
+        assert err.value.status == 400
+        assert "positive and finite" in str(err.value)
 
 
 class TestEventStream:
@@ -146,48 +175,79 @@ class TestEventStream:
 
 
 class TestCacheDirSandbox:
-    """Client-supplied batch cache paths are rejected or confined."""
+    """Client-supplied cache paths are rejected or confined, whatever the
+    request kind that carries one."""
 
-    def _batch_payload(self, cache_dir):
-        from repro.api.requests import BatchRequest, request_to_dict
-        from repro.explore.spec import SweepSpec
+    KINDS = ("batch", "costrategy", "analyze")
 
-        return request_to_dict(BatchRequest(
-            spec=SweepSpec(
-                workloads=(WORKLOAD,), topologies=(TOPOLOGY,),
-                bandwidths_gbps=(100.0,),
-            ),
+    @staticmethod
+    def _request(kind, cache_dir):
+        if kind == "batch":
+            return BatchRequest(
+                spec=SweepSpec(
+                    workloads=(WORKLOAD,), topologies=(TOPOLOGY,),
+                    bandwidths_gbps=(100.0,),
+                ),
+                cache_dir=cache_dir,
+            )
+        if kind == "costrategy":
+            return CostrategyRequest(
+                workload=WORKLOAD, topology=TOPOLOGY, budgets_gbps=(100.0,),
+                cache_dir=cache_dir,
+            )
+        return AnalyzeRequest(
+            cell=ExplorationPoint(WORKLOAD, TOPOLOGY, 100.0, Scheme.PERF_OPT),
             cache_dir=cache_dir,
-        ))
+        )
 
-    def test_cache_dir_rejected_without_cache_root(self, endpoint):
-        with pytest.raises(ServeClientError) as err:
-            endpoint.submit(self._batch_payload("/tmp/evil"))
-        assert err.value.status == 400
-        assert "cache-root" in str(err.value)
-
-    def test_cache_dir_confined_under_cache_root(self, tmp_path):
+    @pytest.fixture
+    def sandboxed(self, tmp_path):
+        """A live server started with ``cache_root=tmp_path``."""
         manager = JobManager(workers=1)
         server = create_server(manager, port=0, cache_root=tmp_path)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
-        client = ServeClient(f"http://{host}:{port}", timeout=120.0)
         try:
-            # Traversal out of the root is refused.
-            with pytest.raises(ServeClientError) as err:
-                client.submit(self._batch_payload("../outside"))
-            assert err.value.status == 400
-            with pytest.raises(ServeClientError):
-                client.submit(self._batch_payload("/etc/repro"))
-            # A relative name lands inside the root and actually caches.
-            info = client.submit(self._batch_payload("study-a"))
-            assert client.wait(info.id, timeout=300).state is JobState.DONE
-            assert list((tmp_path / "study-a").glob("*.json"))
+            yield ServeClient(f"http://{host}:{port}", timeout=120.0)
         finally:
             server.shutdown()
             server.server_close()
             manager.shutdown()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cache_dir_rejected_without_cache_root(
+        self, endpoint, kind, tmp_path
+    ):
+        payload = request_to_dict(self._request(kind, str(tmp_path / "evil")))
+        with pytest.raises(ServeClientError) as err:
+            endpoint.submit(payload)
+        assert err.value.status == 400
+        assert "cache-root" in str(err.value)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cache_dir_confined_under_cache_root(
+        self, sandboxed, kind, tmp_path
+    ):
+        # Traversal out of the root is refused, and so is an absolute path.
+        for name in ("../outside", str(tmp_path.parent / "elsewhere")):
+            with pytest.raises(ServeClientError) as err:
+                sandboxed.submit(request_to_dict(self._request(kind, name)))
+            assert err.value.status == 400
+
+    def test_relative_name_lands_inside_the_root(self, sandboxed, tmp_path):
+        info = sandboxed.submit(self._request("batch", "study-a"))
+        assert sandboxed.wait(info.id, timeout=300).state is JobState.DONE
+        assert list((tmp_path / "study-a").glob("*.json"))
+
+    def test_typed_analyze_request_reads_the_sandboxed_cache(self, sandboxed):
+        # The server rewrites the cache path, so the job id differs from
+        # the one the client derives; the client must accept it.
+        batch = sandboxed.submit(self._request("batch", "study-b"))
+        assert sandboxed.wait(batch.id, timeout=300).state is JobState.DONE
+        info = sandboxed.submit(self._request("analyze", "study-b"))
+        assert sandboxed.wait(info.id, timeout=300).state is JobState.DONE
+        assert sandboxed.result(info.id).source == "cache"
 
 
 class TestFacadeEquivalence:

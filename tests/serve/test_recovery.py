@@ -14,14 +14,9 @@ Three tiers of realism:
 """
 
 import json
-import os
-import re
-import signal
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
+from dataclasses import replace
 
 import pytest
 
@@ -34,6 +29,7 @@ from repro.api.scenario import build_scenario
 from repro.api.service import LibraService
 from repro.explore.spec import SweepSpec
 from repro.serve import JobManager, JobState, JobStore
+from repro.serve.client import ServeClient
 from repro.serve.faults import CRASH_EXIT_CODE, FaultInjected
 from repro.serve import faults
 from repro.serve.jobs import derive_job_id, job_content_key
@@ -42,7 +38,6 @@ from repro.utils.errors import ReproError
 
 TOPOLOGY = "RI(3)_RI(2)"
 WORKLOAD = "Turing-NLG"
-SRC = str(Path(__file__).parents[2] / "src")
 
 
 def _request(total_bw=300):
@@ -351,25 +346,22 @@ manager.shutdown()
 sys.exit(0)
 """.format(topology=TOPOLOGY, workload=WORKLOAD)
 
-    def _crash_child(self, tmp_path, fault: str) -> None:
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "state")],
-            env={**os.environ, "PYTHONPATH": SRC, "REPRO_FAULTS": fault},
-            capture_output=True,
-            timeout=300,
+    def _crash_child(self, procs, tmp_path, fault: str) -> None:
+        proc = procs.python(
+            "-c", self.SCRIPT, str(tmp_path / "state"), faults=fault
         )
-        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr.decode()
+        assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
 
     @pytest.mark.parametrize(
         "fault",
         ["crash:store.events.before:1", "crash:store.record.before:1"],
     )
     def test_crash_before_first_persist_leaves_no_acknowledged_job(
-        self, tmp_path, fault
+        self, procs, tmp_path, fault
     ):
         # submit() had not returned: no client saw a job id, so recovery
         # must find nothing (an orphan event log is skipped).
-        self._crash_child(tmp_path, fault)
+        self._crash_child(procs, tmp_path, fault)
         assert JobStore(tmp_path / "state").load() == []
         manager = JobManager(workers=1, store=JobStore(tmp_path / "state"))
         try:
@@ -385,9 +377,9 @@ sys.exit(0)
         ],
     )
     def test_crash_after_persist_recovers_and_completes(
-        self, tmp_path, fault
+        self, procs, tmp_path, fault
     ):
-        self._crash_child(tmp_path, fault)
+        self._crash_child(procs, tmp_path, fault)
         manager = JobManager(workers=1, store=JobStore(tmp_path / "state"))
         try:
             assert manager.recovered_jobs == 1
@@ -405,90 +397,57 @@ sys.exit(0)
 class TestKillDashNineEndToEnd:
     """Full stack: repro serve --state-dir, SIGKILL mid-sweep, restart."""
 
-    LISTEN = re.compile(r"listening on (http://[\d.]+:\d+)")
-
-    def _spawn_server(self, tmp_path, extra_env=None):
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-u", "-c",
-                "from repro.cli import main; main()",
-                "serve", "--port", "0", "--workers", "1",
-                "--state-dir", str(tmp_path / "state"),
-                "--cache-root", str(tmp_path / "caches"),
-            ],
-            env={**os.environ, "PYTHONPATH": SRC, **(extra_env or {})},
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
+    def test_sigkill_midsweep_restart_resumes_gaplessly(self, procs, tmp_path):
+        request = _batch_request(
+            cache_dir="e2e", bandwidths=(100.0, 200.0, 300.0, 400.0)
         )
-        deadline = time.monotonic() + 60
-        while True:
-            line = proc.stdout.readline()
-            match = self.LISTEN.search(line or "")
-            if match:
-                return proc, match.group(1)
-            assert proc.poll() is None, "server died before listening"
-            assert time.monotonic() < deadline, "server never listened"
-
-    def test_sigkill_midsweep_restart_resumes_gaplessly(self, tmp_path):
-        from repro.serve.client import ServeClient
+        reference = LibraService().submit(replace(request, cache_dir=None))
 
         # Slow each solve down so the kill reliably lands mid-sweep.
-        server, base = self._spawn_server(
-            tmp_path, extra_env={"REPRO_FAULTS": "delay:worker.solve=0.4"}
+        server = procs.serve(
+            "--workers", "1", "--cache-root", str(tmp_path / "caches"),
+            state_dir=tmp_path / "state", faults="delay:worker.solve=0.4",
         )
-        try:
-            client = ServeClient(base, timeout=10, retry_backoff_s=0.05)
-            request = _batch_request(
-                cache_dir="e2e", bandwidths=(100.0, 200.0, 300.0, 400.0)
-            )
-            info = client.submit(request)
-            job_id = info.id
+        job_id = ServeClient(server.url, timeout=30).submit(request).id
+        # Watch the stream until at least two cells solved (and are
+        # durably cached), remembering the resume cursor.
+        cursor = server.wait_for_cells(job_id, 2)
 
-            # Watch the stream until at least two cells solved (and are
-            # durably cached), remembering the resume cursor.
-            cursor = 0
-            cells = 0
-            deadline = time.monotonic() + 120
-            while cells < 2:
-                assert time.monotonic() < deadline
-                for event in client.events(job_id, after=cursor):
-                    cursor = event.seq + 1
-                    if event.kind == "cell":
-                        cells += 1
-                time.sleep(0.05)
-        finally:
-            server.kill()  # SIGKILL: nothing flushes, no handlers run
-            server.wait(timeout=30)
+        # SIGKILL, then restart on the same state dir (fresh port; no
+        # injected delay).
+        server = server.restart()
+        assert server.get_json("/healthz")["recovered_jobs"] == 1
+        client = ServeClient(server.url, timeout=120, retry_backoff_s=0.05)
+        # The job survived and the stream resumes exactly at ?after=N.
+        resumed = []
+        client.follow_to_completion(
+            job_id, after=cursor, on_event=resumed.append
+        )
+        assert resumed, "no events after the resume cursor"
+        assert resumed[0].seq == cursor  # gapless across the crash
+        assert [e.seq for e in resumed] == list(
+            range(cursor, cursor + len(resumed))
+        )
+        reasons = [
+            e.data.get("reason") for e in resumed if e.kind == "state"
+        ]
+        assert "recovered after restart" in reasons
 
-        # Restart on the same state dir (fresh port; no injected delay).
-        server, base = self._spawn_server(tmp_path)
-        try:
-            client = ServeClient(base, timeout=30, retry_backoff_s=0.05)
-            # The job survived and the stream resumes exactly at ?after=N.
-            resumed = []
-            client.follow_to_completion(
-                job_id, after=cursor, on_event=resumed.append
-            )
-            assert resumed, "no events after the resume cursor"
-            assert resumed[0].seq == cursor  # gapless across the crash
-            assert [e.seq for e in resumed] == list(
-                range(cursor, cursor + len(resumed))
-            )
-            reasons = [
-                e.data.get("reason") for e in resumed if e.kind == "state"
+        # Completed from the cache, not from scratch.
+        response = client.result(job_id)
+        assert len(response.sweep.results) == 4
+        assert all(not row.error for row in response.sweep.results)
+        assert response.sweep.cache_hits >= 2
+
+        # Bit-identical to the uninterrupted run.
+        def rows(resp):
+            return [
+                {k: v for k, v in row.to_dict().items() if k != "from_cache"}
+                for row in resp.sweep.results
             ]
-            assert "recovered after restart" in reasons
 
-            # Completed from the cache, not from scratch.
-            response = client.result(job_id)
-            assert len(response.sweep.results) == 4
-            assert all(not row.error for row in response.sweep.results)
-            assert response.sweep.cache_hits >= 2
+        assert rows(response) == rows(reference)
 
-            # The full replayed history is gapless from zero.
-            replayed = list(client.events(job_id))
-            assert [e.seq for e in replayed] == list(range(len(replayed)))
-        finally:
-            server.kill()
-            server.wait(timeout=30)
+        # The full replayed history is gapless from zero.
+        replayed = list(client.events(job_id))
+        assert [e.seq for e in replayed] == list(range(len(replayed)))

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.utils.errors import ConfigurationError
 from repro.utils.validation import (
     check_positive,
     check_positive_int,
@@ -32,6 +33,10 @@ class TestCheckPositive:
     def test_rejects_infinity(self):
         with pytest.raises(ValueError):
             check_positive(math.inf, "x")
+
+    def test_raises_the_library_error(self):
+        with pytest.raises(ConfigurationError, match="x must be positive"):
+            check_positive(-math.inf, "x")
 
 
 class TestCheckPositiveInt:
