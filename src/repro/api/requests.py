@@ -110,14 +110,17 @@ class OptimizeRequest:
             instead of solving, GB/s.
         include_baseline: Attach the EqualBW baseline and comparison
             metrics when the scenario carries a total-bandwidth budget.
-        warm_start: Continuation seed for the solver. ``None`` (default) is
-            the cold path; a bandwidth tuple (GB/s) is an explicit prior
-            optimum (e.g. the neighboring sweep cell); the string
-            :data:`WARM_START_AUTO` asks the service to look up its
-            solution memo for this engine × scheme × constraint family.
-            Ignored for EqualBW and explicit evaluations.
-        max_starts: Cap on the solver's multi-start seed family; ``None``
-            keeps the full family (the historical default).
+        warm_start: Continuation seed for the PerfPerCostOptBW solver.
+            ``None`` (default) is the cold path; a bandwidth tuple (GB/s)
+            is an explicit prior optimum (e.g. the neighboring sweep
+            cell); the string :data:`WARM_START_AUTO` asks the service to
+            look up its solution memo for this engine × scheme ×
+            constraint family. Ignored for PerfOptBW (one interior-point
+            run that depends on the problem alone), EqualBW and explicit
+            evaluations.
+        max_starts: Cap on the PerfPerCostOptBW multi-start seed family;
+            ``None`` keeps the full family (the historical default).
+            Ignored for PerfOptBW.
     """
 
     scenario: Scenario
@@ -234,7 +237,8 @@ class OptimizeResponse:
             without a baseline.
         diagnostics: Solver telemetry for solve requests (``None`` for
             EqualBW and explicit evaluations): ``starts`` — seeds the
-            multi-start actually ran; ``max_starts`` — the requested cap;
+            multi-start actually ran (1 for PerfOptBW's interior-point
+            run); ``max_starts`` — the requested cap;
             ``warm_start`` — ``"cold"``, ``"accepted"``, or
             ``"rejected:<reason>"``; ``warm_source`` — where the warm seed
             came from (``"none"``, ``"explicit"``, ``"memo-hit"``,

@@ -347,8 +347,9 @@ class LibraService:
 
         Both keyword seams are *runtime* concerns, deliberately not part
         of the (serializable) request value. ``should_stop`` is a
-        cooperative cancellation predicate polled between multi-start
-        seeds and between sweep cells (a true return raises
+        cooperative cancellation predicate polled before each solve,
+        between multi-start seeds and between sweep cells (a true return
+        raises
         :class:`~repro.utils.errors.JobCancelled`). ``on_event`` receives
         structured progress dicts — the solver's warm-start outcome for
         single solves, per-cell/per-chain events for batches — which

@@ -36,6 +36,7 @@ from repro.core.sensitivity import (
     audit_solution,
     bandwidth_sensitivity,
     certify_optimum,
+    dual_bound,
     one_sided_gap,
 )
 from repro.core.solver import (
@@ -70,6 +71,7 @@ __all__ = [
     "audit_solution",
     "bandwidth_sensitivity",
     "certify_optimum",
+    "dual_bound",
     "one_sided_gap",
     "Scheme",
     "CompiledProgram",

@@ -381,6 +381,23 @@ class ConstraintSet:
             rows,
         ).copy()
 
+    def find_interior_point(self) -> np.ndarray:
+        """The point that maximizes the smallest slack, box sides included.
+
+        The interior-point solver's start when the constraint set has more
+        than a budget row. Unlike :meth:`find_feasible_point`, the box
+        sides count as rows, so the point sits strictly inside every
+        bound that leaves room. Memoized with it (:func:`feasible_point`).
+        """
+        rows = tuple((row.coeffs, row.lower, row.upper) for row in self.rows)
+        return feasible_point(
+            self.num_dims,
+            tuple(self._lower_bounds.tolist()),
+            tuple(self._upper_bounds.tolist()),
+            rows,
+            box_slack=True,
+        ).copy()
+
     def _check_dim(self, dim: int) -> None:
         if not 0 <= dim < self.num_dims:
             raise ConfigurationError(
@@ -394,10 +411,12 @@ def feasible_point(
     lower_bounds: tuple[float, ...],
     upper_bounds: tuple[float, ...],
     rows: tuple[tuple[tuple[float, ...], float | None, float | None], ...],
+    box_slack: bool = False,
 ) -> np.ndarray:
     """Interior point of ``lower ≤ B ≤ upper`` and ``lo ≤ coeffs·B ≤ hi`` rows.
 
-    The LP behind :meth:`ConstraintSet.find_feasible_point`, memoized on
+    The LP behind :meth:`ConstraintSet.find_feasible_point` and, with
+    ``box_slack``, :meth:`ConstraintSet.find_interior_point`, memoized on
     its exact content: the box bounds and the ``(coeffs, lower, upper)``
     rows in order, labels excluded. HiGHS is deterministic, so a memoized
     point is the point a fresh solve would return. The returned array is
@@ -424,6 +443,18 @@ def feasible_point(
         if lower is not None:
             a_ub.append([-c for c in coeffs] + [scale])
             b_ub.append(-lower)
+    if box_slack:
+        for dim, (lower, upper) in enumerate(zip(lower_bounds, upper_bounds)):
+            if lower == upper:
+                continue  # a fixed dimension has no interior
+            side = [0.0] * (num_dims + 1)
+            side[dim], side[-1] = -1.0, 1.0
+            a_ub.append(side)
+            b_ub.append(-lower)
+            side = [0.0] * (num_dims + 1)
+            side[dim], side[-1] = 1.0, 1.0
+            a_ub.append(side)
+            b_ub.append(upper)
     bounds = list(zip(lower_bounds, upper_bounds))
     # The slack margin must be bounded or a constraint set with only
     # equality rows (where the slack never appears) makes the LP

@@ -182,9 +182,10 @@ class Libra:
         """Run one optimization scheme under the given constraints.
 
         ``warm_start`` (bytes/s) is a prior optimum used as a continuation
-        seed; ``max_starts`` caps the multi-start family; ``should_stop``
-        is the solver's cooperative cancellation predicate (polled between
-        multi-start seeds).
+        seed and ``max_starts`` caps the multi-start family; both apply to
+        PerfPerCostOptBW only, as a PerfOptBW answer is one interior-point
+        run that depends on the problem alone. ``should_stop`` is the
+        solver's cooperative cancellation predicate.
         """
         point, _ = self.optimize_result(
             scheme, constraints,
@@ -221,9 +222,7 @@ class Libra:
         expression = self.combined_expression()
         if scheme is Scheme.PERF_OPT:
             result = minimize_training_time(
-                expression, constraints,
-                warm_start=warm_start, max_starts=max_starts,
-                should_stop=should_stop,
+                expression, constraints, should_stop=should_stop
             )
         elif scheme is Scheme.PERF_PER_COST_OPT:
             rates = np.asarray(cost_rates(self.network, self.cost_model))

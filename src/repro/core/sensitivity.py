@@ -1,4 +1,4 @@
-"""Bandwidth sensitivity analysis at a design point.
+"""Bandwidth sensitivity analysis and the solver's optimality oracle.
 
 Once LIBRA proposes an allocation, a designer's next question is *where the
 next GB/s should go* — which dimension's bandwidth is the binding resource,
@@ -20,10 +20,16 @@ reports half-slopes — fine for ranking *off-optimum* points, misleading at
 the kink itself. ``mode="backward"`` measures the loss from *taking
 bandwidth away* (what "binding" means at an optimum) and ``mode="forward"``
 the gain from adding it; :func:`one_sided_gap` exposes the difference as a
-per-dimension kink detector. To certify a solved point, skip derivatives
-entirely and use :func:`certify_optimum` — direct re-evaluation of
-budget-preserving transfers, the correct first-order statement at a kink.
-:func:`audit_solution` wraps it into the solver's optimality oracle.
+per-dimension kink detector. :func:`certify_optimum` probes budget-
+preserving transfers by direct re-evaluation (the bottleneck-structure
+report reads it); it is a local probe and passes points that are not
+optimal.
+
+:func:`audit_solution` is the solver's optimality oracle. A PerfOptBW
+answer is checked against :func:`dual_bound`, the closed-form Lagrange
+dual of the epigraph program at the multipliers the solver returned: any
+multipliers give a valid lower bound on the optimum, so a small
+primal − dual gap proves the answer optimal.
 """
 
 from __future__ import annotations
@@ -34,7 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.constraints import FEASIBILITY_TOLERANCE, ConstraintSet
-from repro.core.solver import SolverResult
+from repro.core.kernel import CERTIFIED_GAP, ConstraintBlocks
+from repro.core.solver import (
+    SolverResult,
+    build_constraint_blocks,
+    compile_expression,
+)
 from repro.training.expr import Expr
 from repro.utils.errors import ConfigurationError
 
@@ -309,6 +320,80 @@ def certify_optimum(
     )
 
 
+def dual_bound(blocks: ConstraintBlocks, multipliers: Sequence[float]) -> float:
+    """Lagrange dual lower bound on the epigraph program of ``blocks``.
+
+    Reads only the blocks (their rows and the epigraph objective) and one
+    multiplier per block row, in block row order: ``ν`` for the equality
+    rows ``A_eq·x = b_eq``, ``μ ≥ 0`` for the linear rows ``A_in·x ≥ b_in``
+    and ``λ ≥ 0`` for the comm rows ``aux − coeff/B ≥ 0`` (negative ``μ``
+    and ``λ`` count as zero). The Lagrangian separates per variable:
+
+    * an aux variable (box ``[0, ∞)``) adds nothing when its reduced cost
+      is ≥ 0, and ``-inf`` otherwise. Aux columns are visited parents
+      first (a max row's own aux is its first aux column); when one
+      would go negative, the multipliers of the rows it owns — its max
+      rows or its comm rows — are scaled down until it is zero;
+    * a bandwidth ``B_d`` adds ``min r_d·B + α_d/B`` over its box, where
+      ``r_d`` is its reduced cost and ``α_d = Σ λ·coeff`` over its comm
+      rows.
+
+    Any multipliers give a valid bound, so the bound never exceeds the
+    optimum, and it reaches it at the optimal multipliers.
+    """
+    values = np.asarray(multipliers, dtype=float)
+    num_eq, num_lin = blocks.num_eq, len(blocks.b_in)
+    if values.shape != (blocks.num_rows,):
+        raise ConfigurationError(
+            f"expected {blocks.num_rows} multipliers, got {values.shape}"
+        )
+    nu = values[:num_eq]
+    mu = np.maximum(values[num_eq:num_eq + num_lin], 0.0)
+    lam = np.maximum(values[num_eq + num_lin:], 0.0)
+    num_dims = blocks.num_dims
+    for column in range(num_dims, blocks.num_vars):
+        owned = [
+            row for row in range(num_lin)
+            if blocks.a_in[row, column] > 0
+            and not np.any(blocks.a_in[row, num_dims:column])
+        ]
+        comm = blocks.comm_aux == column
+        reduced = (
+            blocks.cost[column]
+            - nu @ blocks.a_eq[:, column]
+            - mu @ blocks.a_in[:, column]
+            - lam[comm].sum()
+        )
+        if reduced >= 0:
+            continue
+        supply = mu[owned] @ blocks.a_in[owned, column] + lam[comm].sum()
+        if reduced + supply < 0:
+            return -np.inf  # no scaling of its own rows repairs it
+        keep = (reduced + supply) / supply
+        mu[owned] *= keep
+        lam[comm] *= keep
+    bound = blocks.cost_const + nu @ blocks.b_eq + mu @ blocks.b_in
+    rates = blocks.cost[:num_dims] - nu @ blocks.a_eq[:, :num_dims] - (
+        mu @ blocks.a_in[:, :num_dims]
+    )
+    for dim in range(num_dims):
+        rate = float(rates[dim])
+        alpha = float(lam[blocks.comm_dim == dim] @ blocks.comm_coeff[
+            blocks.comm_dim == dim
+        ])
+        low, high = float(blocks.lower[dim]), float(blocks.upper[dim])
+        if rate <= 0:
+            if np.isinf(high):
+                if rate < 0:
+                    return -np.inf
+                continue  # 0·B + α/B tends to 0
+            point = high
+        else:
+            point = min(max(np.sqrt(alpha / rate), low), high)
+        bound += rate * point + alpha / point
+    return float(bound)
+
+
 def audit_solution(
     expression: Expr,
     constraints: ConstraintSet,
@@ -327,8 +412,10 @@ def audit_solution(
     * ``result.objective`` equals direct re-evaluation at the point
       (relative :data:`REEVALUATION_RTOL`) — step time, or step time ×
       ``cost_rates · B`` for PerfPerCostOptBW;
-    * PerfOptBW (no ``cost_rates``): the constraint-aware
-      :func:`certify_optimum` certifies the point;
+    * PerfOptBW (no ``cost_rates``): the re-evaluated objective is within
+      :data:`~repro.core.kernel.CERTIFIED_GAP` (relative) of
+      :func:`dual_bound` at ``result.multipliers``, which proves it
+      optimal to that tolerance;
     * PerfPerCostOptBW: the product is no worse than at the EqualBW split
       (when it is feasible) and, when given, at ``perf_bandwidths`` — the
       PerfOptBW answer of the same problem.
@@ -363,11 +450,18 @@ def audit_solution(
             f"re-evaluation {direct!r}"
         )
     if rates is None:
-        certificate = certify_optimum(expression, point, constraints=constraints)
-        if not certificate.certified:
+        if not result.multipliers:
+            faults.append("not certified: the result carries no multipliers")
+            return faults
+        program = compile_expression(expression, constraints.num_dims)
+        bound = dual_bound(
+            build_constraint_blocks(program, constraints), result.multipliers
+        )
+        if direct - bound > CERTIFIED_GAP * abs(direct):
             faults.append(
-                f"not certified: transfer {certificate.best_move} gains "
-                f"{certificate.best_gain:.3e}"
+                f"not certified: objective {direct!r} is "
+                f"{(direct - bound) / abs(direct):.3e} above its dual bound "
+                f"{bound!r}"
             )
         return faults
     references = {}

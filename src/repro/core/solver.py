@@ -1,7 +1,7 @@
 """Constrained bandwidth optimizer (Sec. IV-E, IV-F).
 
 The paper drives a commercial QP solver (Gurobi); this module implements the
-same optimization with scipy, in three layers:
+same optimization with numpy and scipy, in three layers:
 
 1. **Epigraph compilation** — the symbolic training-time expression
    (:mod:`repro.training.expr`) is compiled so every ``max`` node becomes an
@@ -9,47 +9,51 @@ same optimization with scipy, in three layers:
    collective term contributes smooth constraints ``t ≥ coeff / B_dim``.
    After compilation the objective is *linear* in the auxiliaries, and all
    the nonlinearity lives in those hyperbolic constraints — which describe a
-   convex region over ``B > 0``. ``PerfOptBW`` is therefore a convex program
-   that SLSQP solves to global optimality.
+   convex region over ``B > 0``. ``PerfOptBW`` is therefore a convex
+   program.
 
-2. **SLSQP with analytic gradients** — variables are scaled to GB/s
-   internally so the problem is well-conditioned; seeds include the EqualBW
-   split, the traffic-proportional water-filling allocation, and cost-aware
-   variants; a longer, looser SLSQP re-run is the fallback when a run
-   fails without stalling.
+2. **PerfOptBW: one certified interior-point run** —
+   :func:`minimize_training_time` runs the primal–dual interior-point
+   kernel (:func:`repro.core.kernel.interior_point`) once, from one
+   interior start (:func:`interior_start`), with variables scaled to GB/s.
+   There is no seed family, multi-start or warm start, so an answer
+   depends only on the expression and the constraint set. The result
+   carries the run's Lagrange multipliers and its certified primal–dual
+   gap.
 
-3. **Multi-start for PerfPerCostOptBW** — time × cost is bilinear (the same
-   nonconvexity Gurobi's QP handles); deterministic multi-start from the
-   seed family recovers the global design point in practice, and the result
-   records which start won.
+3. **PerfPerCostOptBW: multi-start SLSQP** — time × cost is bilinear (the
+   same nonconvexity Gurobi's QP handles); deterministic multi-start from
+   the seed family (:func:`build_seeds`, plus a two-start SLSQP PerfOpt
+   solve) recovers the global design point in practice, and the result
+   records which start won. Each start is one SLSQP run with analytic
+   gradients through :func:`repro.core.kernel.minimize_slsqp`; a longer,
+   looser re-run is the fallback when a run fails without stalling.
 
-Every per-seed SLSQP run goes through one kernel: the compiled program
-becomes stacked matrix-form constraint blocks (:mod:`repro.core.kernel`),
-built once and shared across every seed and both schemes, and driven
-through a slim reverse-communication loop around scipy's compiled SLSQP
-core (or ``scipy.optimize.minimize`` over the same blocks when that core is
-unavailable). Answers are checked without a second implementation: the
-returned objective is a direct re-evaluation of the expression, and
+Both schemes share one compiled program and one set of stacked
+matrix-form constraint blocks (:func:`build_constraint_blocks`). Answers
+are checked without a second solver: the returned objective is a direct
+re-evaluation of the expression, and
 :func:`repro.core.sensitivity.audit_solution` is the optimality oracle the
-tests and ``repro bench`` share.
+tests and ``repro bench`` share (for PerfOptBW, a dual bound re-derived
+from the returned multipliers).
 
 A memoization tier keyed on the frozen expression —
 :func:`compile_expression`, :func:`traffic_totals`, and (in
 :mod:`repro.training.expr`) ``simplify`` / ``vector_evaluator`` — makes
-repeat solves over one workload (warm starts, budget sweeps) skip all tree
-work, and the feasibility LP is memoized on its content
+repeat solves over one workload (budget sweeps, both schemes) skip all
+tree work, and the feasibility LPs are memoized on their content
 (:func:`repro.core.constraints.feasible_point`), so every cell of one
 budget pays for HiGHS once. :func:`clear_solver_caches` resets every tier
 (used by benchmarks for cold-path timing).
 
-**Continuation solving** — both entry points accept ``warm_start``: a prior
-optimum (e.g. the neighboring cell of a budget sweep). The warm point is
-projected onto the new feasible region (budget-rescaled, box-clipped) and
-solved first; the full multi-start family then runs *only* when that warm
-run's achieved objective drifts past :data:`WARM_TRUST_RTOL` relative to
-the best raw seed evaluation (the adaptive fan-out that keeps correctness
-from silently degrading). ``warm_start=None`` is the cold path and stays
-the default everywhere.
+**Continuation solving (PerfPerCostOptBW)** — :func:`minimize_time_cost_product`
+accepts ``warm_start``: a prior optimum (e.g. the neighboring cell of a
+budget sweep). The warm point is projected onto the new feasible region
+(budget-rescaled, box-clipped) and solved first; the full multi-start
+family then runs *only* when that warm run's achieved objective drifts
+past :data:`WARM_TRUST_RTOL` relative to the best raw seed evaluation (the
+adaptive fan-out that keeps correctness from silently degrading).
+``warm_start=None`` is the cold path and stays the default everywhere.
 """
 
 from __future__ import annotations
@@ -67,7 +71,12 @@ from repro.core.constraints import (
     ConstraintSet,
     feasible_point,
 )
-from repro.core.kernel import ConstraintBlocks, minimize_slsqp
+from repro.core.kernel import (
+    CERTIFIED_GAP,
+    ConstraintBlocks,
+    interior_point,
+    minimize_slsqp,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
 from repro.obs import trace as obs_trace
@@ -86,7 +95,8 @@ from repro.utils.units import GBPS
 #: Internal bandwidth unit (GB/s) — keeps decision variables O(1)–O(1000).
 _SCALE = GBPS
 
-#: Relative objective drift past which a warm-started solve is distrusted.
+#: Relative objective drift past which a warm-started PerfPerCostOptBW
+#: solve is distrusted.
 #: A warm run is accepted only when it converged (or stopped on a
 #: line-search stall of the same trajectory), its iterate is feasible, and
 #: its *true* (re-evaluated) objective is within this factor of the best
@@ -97,10 +107,12 @@ _SCALE = GBPS
 #: the seed family's own evaluations by more than this threshold.
 WARM_TRUST_RTOL = 1e-4
 
-#: Seed-family truncation used by PerfPerCostOptBW's internal PerfOpt warm
-#: start (PerfOpt is convex — any converging seed reaches the optimum; two
-#: seeds are kept as a numerical safety net).
+#: Seed-family truncation of PerfPerCostOptBW's internal SLSQP PerfOpt
+#: solve (:func:`_perf_seed`).
 DEFAULT_PERF_WARM_STARTS = 2
+
+#: Relative margin above tight of the interior-point start's aux values.
+START_AUX_MARGIN = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +231,16 @@ class CompiledProgram:
             )
         return self._aux_plan
 
-    def initial_aux(self, bandwidths_scaled: np.ndarray) -> np.ndarray:
-        """Tight aux values at a bandwidth point (feasible by construction)."""
+    def initial_aux(
+        self, bandwidths_scaled: np.ndarray, margin: float = 0.0
+    ) -> np.ndarray:
+        """Aux values at a bandwidth point (feasible by construction).
+
+        Tight by default. A positive ``margin`` raises every comm aux and
+        every max row's value by that relative amount, children before
+        parents, so each comm and max row with a nonzero value keeps
+        positive slack: a strictly feasible interior-point start.
+        """
         if self.num_aux == 0:
             return np.zeros(0)
         plan = self._ensure_aux_plan()
@@ -230,13 +250,23 @@ class CompiledProgram:
                 plan.comm_dims
             ]
             aux[plan.comm_aux] = np.maximum.reduceat(ratios, plan.comm_starts)
+            if margin:
+                aux[plan.comm_aux] *= 1.0 + margin
         if plan.max_aux_ids.size:
             aux[plan.max_aux_ids] = -np.inf
             for aux_id, const, children, weights in plan.max_rows:
                 value = const + (weights @ aux[children] if children.size else 0.0)
+                if margin:
+                    value += margin * abs(value)
                 if value > aux[aux_id]:
                     aux[aux_id] = value
         return aux
+
+    def tight_objective(self, bandwidths_scaled: np.ndarray) -> float:
+        """The objective at a bandwidth point with every aux tight."""
+        return self.objective_const + float(
+            self.objective_weights @ self.initial_aux(bandwidths_scaled)
+        )
 
 
 @lru_cache(maxsize=128)
@@ -423,6 +453,33 @@ def build_seeds(
     return seeds
 
 
+def interior_start(expr: Expr, constraints: ConstraintSet) -> np.ndarray:
+    """The interior-point run's start bandwidths (bytes/s).
+
+    When the budget equality is the only designer row, the start is
+    0.9 × the traffic-proportional split + 0.1 × the equal split, if that
+    point lies strictly inside the box. Otherwise it is the memoized LP
+    point that maximizes the smallest slack over the rows and the box
+    sides (:meth:`ConstraintSet.find_interior_point`).
+    """
+    rows = constraints.rows
+    if (
+        constraints.total_bandwidth is not None
+        and len(rows) == 1
+        and rows[0].is_equality
+    ):
+        equal = constraints.equal_split()
+        proportional = _proportional_split(
+            traffic_totals(expr, constraints.num_dims), constraints
+        )
+        point = 0.1 * equal + 0.9 * (equal if proportional is None else proportional)
+        if np.all(point > constraints.lower_bounds) and np.all(
+            point < constraints.upper_bounds
+        ):
+            return point
+    return constraints.find_interior_point()
+
+
 def project_warm_start(
     warm_start: Sequence[float], constraints: ConstraintSet
 ) -> np.ndarray | None:
@@ -459,15 +516,26 @@ class SolverResult:
         bandwidths: Optimal per-dimension bandwidths, bytes/s.
         objective: Final objective value (seconds for PerfOpt; seconds ×
             dollars for PerfPerCost).
-        success: Whether a solver run converged; when False the best
-            feasible iterate (a line-search stall point or a seed
-            evaluation) is returned instead.
-        message: Solver diagnostics (which start won, fallbacks used).
-        starts: Number of seed points tried.
-        warm_start: Continuation diagnostics — empty for cold solves,
-            ``"accepted"`` when the warm run passed the trust check and the
-            multi-start family was skipped, ``"rejected:<reason>"`` when the
-            solve fell back to the full fan-out.
+        success: PerfOpt: the certified gap is at most
+            :data:`~repro.core.kernel.CERTIFIED_GAP`. PerfPerCost: an SLSQP
+            run converged; when False the best feasible iterate (a
+            line-search stall point or a seed evaluation) is returned
+            instead.
+        message: Solver diagnostics (the interior-point status, or which
+            start won and the fallbacks used).
+        starts: Number of runs: 1 for PerfOpt, the seed points tried for
+            PerfPerCost.
+        warm_start: PerfPerCost continuation diagnostics — empty for cold
+            solves (and always for PerfOpt), ``"accepted"`` when the warm
+            run passed the trust check and the multi-start family was
+            skipped, ``"rejected:<reason>"`` when the solve fell back to
+            the full fan-out.
+        gap: PerfOpt: the certified relative primal–dual gap,
+            ``(primal − dual) / primal``; ``None`` for PerfPerCost.
+        multipliers: PerfOpt: the Lagrange multipliers that certify the
+            gap, one per row of the problem's constraint blocks
+            (:func:`build_constraint_blocks`) in block row order; empty
+            for PerfPerCost and for bandwidth-independent objectives.
     """
 
     bandwidths: tuple[float, ...]
@@ -476,6 +544,8 @@ class SolverResult:
     message: str
     starts: int
     warm_start: str = ""
+    gap: float | None = None
+    multipliers: tuple[float, ...] = ()
 
 
 def build_constraint_blocks(
@@ -483,8 +553,9 @@ def build_constraint_blocks(
 ) -> ConstraintBlocks:
     """Stack the program + designer rows into vectorized constraint blocks.
 
-    Built **once** per compiled program and shared by every multi-start
-    seed and both optimization schemes. Designer rows are scaled to GB/s
+    Built **once** per solve and shared by the interior-point run, every
+    multi-start seed and PerfPerCost's inner PerfOpt solve. The blocks
+    carry the epigraph objective too. Designer rows are scaled to GB/s
     (an equality row joins the equality block; an inequality row
     contributes its upper side, then its lower side, to the linear block),
     max-epigraph rows follow them in the linear block, and comm rows stay
@@ -546,6 +617,9 @@ def build_constraint_blocks(
         ),
         lower=lower,
         upper=upper,
+        num_dims=num_dims,
+        cost=np.concatenate([np.zeros(num_dims), program.objective_weights]),
+        cost_const=program.objective_const,
     )
 
 
@@ -808,32 +882,85 @@ def _observed_solve(scheme: str):
 def minimize_training_time(
     expr: Expr,
     constraints: ConstraintSet,
-    max_starts: int | None = None,
-    warm_start: Sequence[float] | None = None,
     should_stop: Callable[[], bool] | None = None,
-    _blocks: ConstraintBlocks | None = None,
 ) -> SolverResult:
     """PerfOptBW: minimize the training-time expression (convex program).
+
+    One interior-point run from :func:`interior_start`. The answer depends
+    only on ``expr`` and ``constraints``: no warm start, no seed order. The
+    result carries the run's multipliers and certified gap, and
+    ``starts`` is 1.
 
     Args:
         expr: Training-time expression.
         constraints: Designer constraint set.
-        max_starts: Cap on the multi-start seed family; ``None`` keeps every
-            seed (the historical behavior). The convex program reaches the
-            optimum from any converging seed, so truncation is a speed knob,
-            not a correctness one.
-        warm_start: Prior optimum (bytes/s) used as a continuation seed; the
-            multi-start family is skipped when the warm run passes the trust
-            check. ``None`` is the cold path (default).
-        should_stop: Cooperative cancellation predicate, polled between
-            multi-start seeds; a true return raises :class:`JobCancelled`.
+        should_stop: Cooperative cancellation predicate, polled before the
+            run (one run takes milliseconds); a true return raises
+            :class:`JobCancelled`.
+    """
+    _checkpoint(should_stop, "before the solve")
+    program = compile_expression(expr, constraints.num_dims)
+    start = interior_start(expr, constraints)
+    blocks = build_constraint_blocks(program, constraints)
+    if program.num_aux == 0:
+        # Pure-compute workload: any feasible point is optimal, and zero
+        # multipliers certify it (the dual bound is the constant).
+        return SolverResult(
+            bandwidths=tuple(float(b) for b in start),
+            objective=program.objective_const,
+            success=True,
+            message="bandwidth-independent objective",
+            starts=1,
+            gap=0.0,
+            multipliers=(0.0,) * blocks.num_rows,
+        )
+    scaled = start / _SCALE
+    try:
+        run = interior_point(
+            blocks,
+            np.concatenate([scaled, program.initial_aux(scaled, START_AUX_MARGIN)]),
+            lambda x: program.tight_objective(x[: program.num_dims]),
+        )
+    except ValueError as exc:
+        raise OptimizationError(
+            f"no strictly feasible start for the constraint set: {exc}"
+        ) from exc
+    bandwidths = np.maximum(run.x[: program.num_dims] * _SCALE, 0.0)
+    if not constraints.is_feasible(bandwidths, FEASIBILITY_TOLERANCE):
+        raise OptimizationError(
+            f"the interior-point run ended infeasible ({run.status})"
+        )
+    return SolverResult(
+        bandwidths=tuple(float(b) for b in bandwidths),
+        objective=vector_evaluator(simplify(expr))(bandwidths),
+        success=run.gap <= CERTIFIED_GAP,
+        message=(
+            f"interior point: {run.status} after {run.iterations} "
+            f"iterations, gap {run.gap:.1e}"
+        ),
+        starts=1,
+        gap=run.gap,
+        multipliers=tuple(run.multipliers.tolist()),
+    )
+
+
+@_observed_solve("perf")
+def _perf_seed(
+    expr: Expr,
+    constraints: ConstraintSet,
+    blocks: ConstraintBlocks | None,
+    should_stop: Callable[[], bool] | None,
+) -> SolverResult:
+    """PerfPerCostOptBW's inner PerfOpt solve: two SLSQP starts, best kept.
+
+    PerfPerCost seeds its multi-start with this point, so it stays the
+    SLSQP solve PerfPerCost was tuned with (an interior-point seed moves
+    PerfPerCost answers both ways). It goes once PerfPerCost has a
+    certified solver of its own.
     """
     _checkpoint(should_stop, "before the first start")
     program = compile_expression(expr, constraints.num_dims)
     if program.num_aux == 0:
-        # Pure-compute workload: any feasible point is optimal. A warm
-        # seed has nothing to continue from, so diagnostics say so rather
-        # than claiming a cold solve against a warm_source that says hit.
         point = build_seeds(expr, constraints)[0]
         return SolverResult(
             bandwidths=tuple(float(b) for b in point),
@@ -841,17 +968,8 @@ def minimize_training_time(
             success=True,
             message="bandwidth-independent objective",
             starts=1,
-            warm_start=(
-                "" if warm_start is None else "rejected:bandwidth-independent"
-            ),
         )
-
-    blocks = _blocks
-    if blocks is None:
-        blocks = build_constraint_blocks(program, constraints)
-
     gradient = np.concatenate([np.zeros(program.num_dims), program.objective_weights])
-
     num_dims = program.num_dims
     objective_const = program.objective_const
     objective_weights = program.objective_weights
@@ -862,41 +980,8 @@ def minimize_training_time(
     def objective_grad(x: np.ndarray) -> np.ndarray:
         return gradient
 
-    evaluate_true = vector_evaluator(simplify(expr))
-    seeds = build_seeds(expr, constraints)
-    if max_starts is not None:
-        seeds = seeds[: max(1, max_starts)]
-
-    warm_tag = ""
-    warm_candidates: list[tuple[np.ndarray, float, bool, str]] = []
-    if warm_start is not None:
-        warm_seed = project_warm_start(warm_start, constraints)
-        if warm_seed is None:
-            warm_tag = "rejected:unprojectable"
-        else:
-            candidate, reason = _try_warm(
-                program, constraints, objective, objective_grad,
-                evaluate_true, warm_seed, seeds, blocks,
-            )
-            if not reason:
-                # The projected warm seed joins the fallback pool: the
-                # returned point can never be worse than the continuation
-                # anchor (the prior optimum reshaped onto this budget).
-                result = _finish(
-                    program, constraints, evaluate_true,
-                    [candidate] + _seed_fallbacks(
-                        program, seeds + [warm_seed], program.objective_value
-                    ),
-                    starts=1,
-                )
-                return replace(result, warm_start="accepted")
-            warm_tag = f"rejected:{reason}"
-            # Pool the warm run instead of re-seeding: _solve_from_seed is
-            # deterministic, so re-running from warm_seed would just pay
-            # the dominant per-cell cost twice for the identical result.
-            warm_candidates = [candidate]
-
-    candidates = list(warm_candidates)
+    seeds = build_seeds(expr, constraints)[:DEFAULT_PERF_WARM_STARTS]
+    candidates = []
     for index, seed in enumerate(seeds):
         _checkpoint(should_stop, f"before start {index + 1} of {len(seeds)}")
         candidates.append(
@@ -906,11 +991,10 @@ def minimize_training_time(
         )
     # The seeds themselves are feasible fallbacks (aux tight = true value).
     candidates.extend(_seed_fallbacks(program, seeds, program.objective_value))
-    result = _finish(
-        program, constraints, evaluate_true, candidates,
-        len(seeds) + len(warm_candidates),
+    return _finish(
+        program, constraints, vector_evaluator(simplify(expr)), candidates,
+        len(seeds),
     )
-    return replace(result, warm_start=warm_tag) if warm_tag else result
 
 
 @_observed_solve("ppc")
@@ -1003,8 +1087,9 @@ def minimize_time_cost_product(
                 evaluate_true, warm_seed, seeds, blocks,
             )
             if not reason:
-                # As in minimize_training_time: the projected warm seed is
-                # the continuation anchor and joins the fallback pool.
+                # The projected warm seed is the continuation anchor and
+                # joins the fallback pool: the returned point can never be
+                # worse than the prior optimum reshaped onto this budget.
                 result = _finish(
                     program, constraints, evaluate_true,
                     [candidate] + _seed_fallbacks(
@@ -1014,26 +1099,19 @@ def minimize_time_cost_product(
                 )
                 return replace(result, warm_start="accepted")
             warm_tag = f"rejected:{reason}"
-            # Pool, don't re-seed: the solve is deterministic (see
-            # minimize_training_time).
+            # Pool the warm run instead of re-seeding: _solve_from_seed is
+            # deterministic, so re-running from warm_seed would just pay
+            # the dominant per-cell cost twice for the identical result.
             warm_candidates = [candidate]
 
-    # Warm-start from the PerfOpt solution: the time-cost product is
-    # bilinear, and the pure-performance optimum is both a strong basin and
-    # a guarantee that PerfPerCostOpt never reports a worse perf-per-cost
+    # Seed from the PerfOpt solution: the time-cost product is bilinear,
+    # and the pure-performance optimum is both a strong basin and a
+    # guarantee that PerfPerCostOpt never reports a worse perf-per-cost
     # than PerfOpt (its evaluation joins the candidate pool below). The
     # compiled program and constraint blocks are shared with that inner
-    # solve, so the warm start never recompiles anything — and since
-    # PerfOpt is convex (every converging seed reaches the same optimum),
-    # it runs from the two strongest seeds only.
+    # solve, so it never recompiles anything.
     try:
-        perf_result = minimize_training_time(
-            expr,
-            constraints,
-            _blocks=blocks,
-            max_starts=DEFAULT_PERF_WARM_STARTS,
-            should_stop=should_stop,
-        )
+        perf_result = _perf_seed(expr, constraints, blocks, should_stop)
         seeds.append(np.asarray(perf_result.bandwidths, dtype=float))
     except OptimizationError:
         pass

@@ -5,7 +5,9 @@ an explicit point list), serves every cell it can from the cache, and
 partitions the remainder into *continuation chains*
 (:mod:`repro.explore.chains`): same workload × topology × scheme × cost
 model × caps, sorted by ascending budget. Chains solve sequentially —
-each cell's optimum becomes the next cell's ``warm_start`` seed — and run
+each cell's optimum becomes the next cell's ``warm_start`` seed, which a
+PerfPerCost cell uses and a PerfOpt cell (one interior-point run) ignores
+— and run
 in chain *families* (the strategy columns of a joint search, see
 :func:`_iter_family`), the unit of process-pool fan-out, so warm-start
 propagation survives parallel execution without any cross-process state.
@@ -37,7 +39,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from functools import lru_cache
 
-from repro.api.registry import resolve_workload
+from repro.api.registry import TOPOLOGIES, resolve_workload
 from repro.api.requests import OptimizeRequest
 from repro.api.scenario import Scenario, ScenarioWorkload
 from repro.api.service import get_service
@@ -109,17 +111,31 @@ def _init_pool_worker(registry_entries) -> None:
     install_entries(registry_entries)
 
 
+def _resolve_topology(name_or_notation: str):
+    """A cell's network, memoized per (name, registered factory)."""
+    factory = (
+        TOPOLOGIES.get(name_or_notation)
+        if name_or_notation in TOPOLOGIES else None
+    )
+    return _resolve_topology_cached(name_or_notation, factory)
+
+
 @lru_cache(maxsize=64)
-def _resolve_topology_cached(name_or_notation: str):
+def _resolve_topology_cached(
+    name_or_notation: str, factory: Callable[[], object] | None = None
+):
     """Per-worker LRU over topology resolution.
 
     A budget sweep hands every cell of one grid column the same topology
     string; without this, each process-pool worker rebuilds the network
     graph for every cell it solves. Networks are treated as immutable
-    downstream, so sharing one instance per worker is safe. Failures
-    propagate uncached, preserving per-point error capture.
+    downstream, so sharing one instance per worker is safe. Keyed on the
+    registered factory too, like :func:`repro.api.registry._built_workload`:
+    re-registering a preset (``overwrite=True``) resolves the override
+    instead of the memoized stock network. Failures propagate uncached,
+    preserving per-point error capture.
     """
-    return resolve_topology(name_or_notation)
+    return resolve_topology(name_or_notation) if factory is None else factory()
 
 
 def point_scenario(point: ExplorationPoint) -> Scenario:
@@ -131,7 +147,7 @@ def point_scenario(point: ExplorationPoint) -> Scenario:
     every cell of a grid column sharing one workload × topology reuses one
     compiled engine).
     """
-    network = _resolve_topology_cached(point.topology)
+    network = _resolve_topology(point.topology)
     if isinstance(point.workload, Workload):
         entry = ScenarioWorkload(workload=point.workload)
     else:

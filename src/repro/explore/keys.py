@@ -28,7 +28,9 @@ from repro.explore.spec import ExplorationPoint
 #: v2: continuation solving — sweep cells may be warm-started from chain
 #: neighbors, so results carry new diagnostics and can differ from v1
 #: entries within the documented objective tolerance.
-ENGINE_VERSION = 2
+#: v3: PerfOptBW cells are one certified interior-point run, so cached
+#: SLSQP PerfOpt rows are not replayed.
+ENGINE_VERSION = 3
 
 
 def point_constraints(point: ExplorationPoint, num_dims: int) -> ConstraintSet:

@@ -35,8 +35,9 @@ class ExplorationResult:
         speedup_over_equal: Training speedup vs the EqualBW baseline.
         ppc_gain_over_equal: Perf-per-cost gain vs the EqualBW baseline.
         solver_message: Optimizer diagnostics.
-        solver_starts: Seeds the multi-start actually ran (0 when unknown,
-            e.g. EqualBW rows and pre-continuation cache entries).
+        solver_starts: Seeds the multi-start actually ran, 1 for a PerfOpt
+            interior-point run (0 when unknown, e.g. EqualBW rows and
+            pre-continuation cache entries).
         warm_start: Continuation diagnostics — ``"cold"``, ``"accepted"``,
             or ``"rejected:<reason>"``; empty when the solve predates
             continuation or never reached the solver.

@@ -16,7 +16,7 @@ from __future__ import annotations
 # -- solver (core/solver.py) -------------------------------------------------
 #: Counter{scheme=perf|ppc, warm=cold|accepted|rejected}: entry-point solves.
 SOLVER_SOLVES = "repro_solver_solves_total"
-#: Counter{scheme}: individual multi-start seed attempts.
+#: Counter{scheme}: solver starts (multi-start seeds; 1 per interior-point run).
 SOLVER_STARTS = "repro_solver_starts_total"
 #: Histogram{scheme}: wall time of one entry-point solve.
 SOLVER_SECONDS = "repro_solver_solve_seconds"

@@ -7,7 +7,9 @@ full multi-start bill independently) and once with the
 default warm-start threading (within columns and across adjacent
 strategies) — and writes the ``BENCH_strategy.json`` artifact: end-to-end
 wall clock, candidates per second, the warm-hit breakdown, and the
-solver-start reduction the reuse actually buys.
+solver-start reduction the reuse actually buys. It runs PerfPerCostOptBW
+cells by default: that scheme is the one with continuation (a PerfOptBW
+cell is one interior-point run that takes no warm start).
 
 The equivalence check is the benchmark's gate, same contract as the sweep
 bench: for every strategy × budget cell the warm path's achieved objective
@@ -56,7 +58,7 @@ class StrategyBenchConfig:
     topology: str = "3D-512"
     budgets_gbps: tuple[float, ...] = (100.0, 200.0, 300.0, 400.0, 500.0)
     max_tp: int = 8
-    scheme: str = "perf"
+    scheme: str = "perf-per-cost"
     repeats: int = 3
     objective_rtol: float = 2e-2
     quick: bool = False

@@ -727,10 +727,10 @@ class FleetCoordinator:
             manager._fleet_sync_from_disk(job_id, stored_payload)
             return
         if not self.leases.is_stale(job_id):
-            # A live peer owns it: keep the local mirror's events fresh
-            # for clients polling this server.
-            if handle is not None:
-                manager._fleet_sync_from_disk(job_id, stored_payload)
+            # A live peer owns it: adopt it as a read-only mirror, or keep
+            # the mirror's events fresh, so this server answers GETs for
+            # it and a client failing over here can follow it.
+            manager._fleet_sync_from_disk(job_id, stored_payload)
             return
         claim = self.leases.claim(job_id)
         if not claim.won:

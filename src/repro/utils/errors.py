@@ -78,9 +78,9 @@ class TransientError(ReproError, RuntimeError):
 class JobCancelled(ReproError, RuntimeError):
     """A cooperative cancellation checkpoint observed a cancel request.
 
-    Raised by the solver (between multi-start seeds), the sweep executor
-    (between cells/chains), and :class:`repro.serve` job workers when the
-    caller-supplied ``should_stop`` predicate turns true. Deliberately
+    Raised by the solver (before a solve, between multi-start seeds), the
+    sweep executor (between cells/chains), and :class:`repro.serve` job
+    workers when the caller-supplied ``should_stop`` predicate turns true. Deliberately
     *not* a :class:`ConfigurationError`: a cancelled operation is neither
     a bad input nor a failure, and error-containment layers (sweep error
     rows, job failure states) must let it propagate instead of recording

@@ -162,10 +162,10 @@ def test_pinned_keys_of_composite_scenarios_and_points():
     tagged = tagged_workload("GPT-3", 512, tp8)
     assert point_key(
         ExplorationPoint(tagged, "3D-512", 432.1, Scheme.PERF_PER_COST_OPT)
-    ) == "8b517b1580d9d137fe0c41268babed52d2b85dbb80adf6809b3ae2354065d0a7"
+    ) == "97129fb0d100b32da4e41b683f1a95e0635a31d3fa0b71226d167a69500bb1ef"
     assert point_key(
         ExplorationPoint("GPT-3", "4D-4K", 500.0, Scheme.PERF_OPT)
-    ) == "f3e20b0c4f82145e5ff498419268f8001faf0b887b12ba32f6961d5c0f048cd1"
+    ) == "6a7fccdf2156fcd918fe58d19aed05bc89ae807dd1bc7e8e79ad8ed3c0136ef7"
     renamed = replace(build_workload("GPT-3", 512), name="GPT-3-renamed")
     assert build_scenario("3D-512", [renamed], total_bw_gbps=500).key() == (
         "f30a4910b0a7b6c0afd6a74f416865c5954cc2b5a83741a2cc6ab2df580cca47"

@@ -1,16 +1,19 @@
-"""The solver kernel: optimality oracle grid, block assembly, memoization.
+"""The solver kernels: optimality oracle grid, block assembly, memoization.
 
 PerfOptBW is convex and PerfPerCostOptBW bilinear, so the grid pins what a
 correct solve makes unique — the objective and its optimality — never the
 argmin, which is not unique on a flat face. Every Table-II workload × three
-constraint-row mixes × both schemes runs on both SLSQP paths (scipy's
-compiled core through the slim driver, and the ``scipy.optimize.minimize``
-fallback) and must pass :func:`repro.core.audit_solution` plus a floor set
-by the objectives the deleted closure-per-constraint reference kernel
-reached (``closures_objectives.json``, provenance inside).
+constraint-row mixes × both schemes must pass
+:func:`repro.core.audit_solution` plus a floor set by the objectives the
+deleted closure-per-constraint reference kernel reached
+(``closures_objectives.json``, provenance inside). PerfPerCostOptBW runs on
+both SLSQP paths (scipy's compiled core through the slim loop, and the
+``scipy.optimize.minimize`` fallback); PerfOptBW is one interior-point run
+with no SLSQP path to choose.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -81,19 +84,19 @@ def make_constraints(variant: str, num_dims: int) -> ConstraintSet:
 
 @pytest.fixture(scope="module")
 def solve(problem_factory):
-    """Memoized grid solve on one SLSQP path (PerfPerCost reuses PerfOpt)."""
+    """Memoized grid solve; PerfPerCost runs on one SLSQP path."""
     cache: dict[tuple, SolverResult] = {}
 
-    def run(path: str, workload: str, variant: str, scheme: str):
+    def run(path: str | None, workload: str, variant: str, scheme: str):
         key = (path, workload, variant, scheme)
         if key not in cache:
             expr, rates, num_dims = problem_factory(workload)
             constraints = make_constraints(variant, num_dims)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(kernel, "HAS_FAST_SLSQP", path == "fast")
-                if scheme == "perf":
-                    cache[key] = minimize_training_time(expr, constraints)
-                else:
+            if scheme == "perf":
+                cache[key] = minimize_training_time(expr, constraints)
+            else:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(kernel, "HAS_FAST_SLSQP", path == "fast")
                     cache[key] = minimize_time_cost_product(
                         expr, constraints, rates
                     )
@@ -112,19 +115,50 @@ def assert_no_worse_than_recorded(result, case: str) -> None:
     )
 
 
-@pytest.mark.parametrize("path", ["fast", "fallback"])
-@pytest.mark.parametrize("workload", workload_names())
-@pytest.mark.parametrize("variant", ["budget", "cap", "ordering"])
+#: PerfOpt cells of the paper's figure grid where the multi-start SLSQP
+#: solver missed the optimum: the first four failed the pairwise-transfer
+#: oracle, and the pairwise probe passed the last one although it was
+#: 0.45 % above the optimum.
+FIGURE_CELLS = (
+    ("GPT-3", "3D-4K", 800),
+    ("MSFT-1T", "3D-4K", 1000),
+    ("MSFT-1T", "4D-4K", 1000),
+    ("MSFT-1T", "3D-512", 1000),
+    ("GPT-3", "4D-4K", 800),
+)
+
+
 class TestOptimalityOracle:
-    def test_perf_opt(self, problem_factory, solve, path, workload, variant):
+    @pytest.mark.parametrize("workload", workload_names())
+    @pytest.mark.parametrize("variant", ["budget", "cap", "ordering"])
+    def test_perf_opt(self, problem_factory, solve, workload, variant):
         expr, _, num_dims = problem_factory(workload)
-        result = solve(path, workload, variant, "perf")
+        result = solve(None, workload, variant, "perf")
         faults = audit_solution(
             expr, make_constraints(variant, num_dims), result
         )
         assert not faults, faults
         assert_no_worse_than_recorded(result, f"{workload}/{variant}/perf")
 
+    @pytest.mark.parametrize(
+        "workload,topology,budget", FIGURE_CELLS,
+        ids=[f"{w}-{t}-{b}" for w, t, b in FIGURE_CELLS],
+    )
+    def test_perf_opt_figure_cell(self, workload, topology, budget):
+        network = get_topology(topology)
+        libra = Libra(network)
+        libra.add_workload(build_workload(workload, network.num_npus))
+        expr = libra.combined_expression()
+        constraints = ConstraintSet(network.num_dims).with_total_bandwidth(
+            gbps(budget)
+        )
+        result = minimize_training_time(expr, constraints)
+        assert not audit_solution(expr, constraints, result)
+        assert result.gap <= 1e-9
+
+    @pytest.mark.parametrize("path", ["fast", "fallback"])
+    @pytest.mark.parametrize("workload", workload_names())
+    @pytest.mark.parametrize("variant", ["budget", "cap", "ordering"])
     def test_perf_per_cost(
         self, problem_factory, solve, path, workload, variant
     ):
@@ -133,7 +167,7 @@ class TestOptimalityOracle:
         faults = audit_solution(
             expr, make_constraints(variant, num_dims), result,
             cost_rates=rates,
-            perf_bandwidths=solve(path, workload, variant, "perf").bandwidths,
+            perf_bandwidths=solve(None, workload, variant, "perf").bandwidths,
         )
         assert not faults, faults
         assert_no_worse_than_recorded(
@@ -150,34 +184,55 @@ class TestOracleFaults:
     def _constraints(self):
         return ConstraintSet(3).with_total_bandwidth(gbps(300))
 
-    def _answer(self, bandwidths, rates=None):
+    def _answer(self, bandwidths, rates=None, multipliers=()):
         point = np.asarray(bandwidths, dtype=float)
         value = float(self.EXPR.evaluate(point))
         if rates is not None:
             value *= float(rates @ point)
-        return SolverResult(tuple(point), value, True, "test", 1)
+        return SolverResult(
+            tuple(point), value, True, "test", 1, multipliers=multipliers
+        )
+
+    def _optimum(self):
+        return minimize_training_time(self.EXPR, self._constraints())
 
     def test_misreported_objective(self):
-        result = minimize_training_time(self.EXPR, self._constraints())
-        wrong = SolverResult(
-            result.bandwidths, result.objective * (1 + 1e-9), True, "x", 1
-        )
+        result = self._optimum()
+        wrong = replace(result, objective=result.objective * (1 + 1e-9))
         faults = audit_solution(self.EXPR, self._constraints(), wrong)
         assert len(faults) == 1 and "re-evaluation" in faults[0]
 
     def test_infeasible(self):
+        """1 % over the budget: cheaper than the optimum, so certified, but
+        infeasible."""
+        optimum = self._optimum()
         faults = audit_solution(
             self.EXPR, self._constraints(),
-            self._answer([gbps(100), gbps(100), gbps(110)]),
+            self._answer(
+                np.asarray(optimum.bandwidths) * 1.01,
+                multipliers=optimum.multipliers,
+            ),
         )
         assert len(faults) == 1 and faults[0].startswith("infeasible")
 
     def test_uncertified(self):
+        """The EqualBW split is feasible but above the optimum's dual bound."""
         faults = audit_solution(
             self.EXPR, self._constraints(),
-            self._answer([gbps(100), gbps(100), gbps(100)]),
+            self._answer(
+                [gbps(100), gbps(100), gbps(100)],
+                multipliers=self._optimum().multipliers,
+            ),
         )
         assert len(faults) == 1 and faults[0].startswith("not certified")
+        assert "dual bound" in faults[0]
+
+    def test_no_multipliers_is_uncertified(self):
+        optimum = self._optimum()
+        faults = audit_solution(
+            self.EXPR, self._constraints(), self._answer(optimum.bandwidths)
+        )
+        assert faults == ["not certified: the result carries no multipliers"]
 
     def test_perf_per_cost_worse_than_its_floors(self):
         constraints = self._constraints()

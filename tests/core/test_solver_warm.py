@@ -1,14 +1,16 @@
-"""Warm-vs-cold equivalence of the continuation solver entry points.
+"""Warm-vs-cold equivalence of the continuation solver entry point.
 
-The documented continuation contract: a warm-started solve returns a
-design point whose *achieved objective* is never worse than the cold
-multi-start path's by more than ``OBJECTIVE_RTOL`` (2e-2 relative — the
-same one-sided tolerance the sweep benchmark gates on; warm may be
-*better*, since a good seed can escape a line-search stall the cold family
-hits), never silently degrades below the seed family's own evaluations,
-and falls back to the full fan-out whenever the trust check fails. Budget
-chains are exercised in both ascending and descending order across three
-Table-II workloads and both schemes.
+Continuation is PerfPerCostOptBW's alone: a PerfOptBW answer is one
+interior-point run that takes no warm start (``test_interior_point.py``
+pins that its answer depends on the problem alone). The documented
+continuation contract: a warm-started solve returns a design point whose
+*achieved objective* is never worse than the cold multi-start path's by
+more than ``OBJECTIVE_RTOL`` (2e-2 relative — the same one-sided tolerance
+the sweep benchmark gates on; warm may be *better*, since a good seed can
+escape a line-search stall the cold family hits), never silently degrades
+below the seed family's own evaluations, and falls back to the full
+fan-out whenever the trust check fails. Budget chains are exercised in
+both ascending and descending order across three Table-II workloads.
 """
 
 import numpy as np
@@ -17,11 +19,7 @@ import pytest
 from repro.api.scenario import build_scenario
 from repro.api.service import get_service
 from repro.core.constraints import ConstraintSet
-from repro.core.solver import (
-    minimize_time_cost_product,
-    minimize_training_time,
-    project_warm_start,
-)
+from repro.core.solver import minimize_time_cost_product, project_warm_start
 from repro.cost.estimator import cost_rates
 from repro.utils.units import gbps
 
@@ -49,19 +47,16 @@ def _constraints(num_dims: int, budget: float) -> ConstraintSet:
 
 
 def _solve(expression, rates, num_dims, scheme, budget, warm=None, **kwargs):
-    constraints = _constraints(num_dims, budget)
-    if scheme == "perf":
-        return minimize_training_time(
-            expression, constraints, warm_start=warm, **kwargs
-        )
+    assert scheme == "perf-per-cost"
     return minimize_time_cost_product(
-        expression, constraints, rates, warm_start=warm, **kwargs
+        expression, _constraints(num_dims, budget), rates,
+        warm_start=warm, **kwargs,
     )
 
 
 class TestWarmColdEquivalence:
     @pytest.mark.parametrize("workload", WORKLOADS)
-    @pytest.mark.parametrize("scheme", ["perf", "perf-per-cost"])
+    @pytest.mark.parametrize("scheme", ["perf-per-cost"])
     @pytest.mark.parametrize("ascending", [True, False], ids=["asc", "desc"])
     def test_chain_matches_cold(self, workload, scheme, ascending):
         """A warm chain's objectives match the cold path cell for cell."""
@@ -99,7 +94,7 @@ class TestWarmColdEquivalence:
                 "accepted",
             ) or warm_results[budget].warm_start.startswith("rejected")
 
-    @pytest.mark.parametrize("scheme", ["perf", "perf-per-cost"])
+    @pytest.mark.parametrize("scheme", ["perf-per-cost"])
     def test_accepted_warm_run_uses_one_start(self, scheme):
         expression, rates, num_dims = _problem("Turing-NLG")
         prior = _solve(expression, rates, num_dims, scheme, 300.0)
@@ -111,7 +106,7 @@ class TestWarmColdEquivalence:
         assert warm.starts == 1
         assert prior.starts > 1  # the cold path fans out
 
-    @pytest.mark.parametrize("scheme", ["perf", "perf-per-cost"])
+    @pytest.mark.parametrize("scheme", ["perf-per-cost"])
     def test_forced_distrust_falls_back_to_full_fanout(self, scheme, monkeypatch):
         """A trust rtol of -1 makes every warm run fail the trust check, so
         the solve must fan out cold and still return the cold answer."""
@@ -129,7 +124,7 @@ class TestWarmColdEquivalence:
         assert rejected.starts > 1
         assert rejected.objective <= cold.objective * (1 + 1e-9)
 
-    @pytest.mark.parametrize("scheme", ["perf", "perf-per-cost"])
+    @pytest.mark.parametrize("scheme", ["perf-per-cost"])
     def test_unprojectable_warm_start_solves_cold(self, scheme):
         expression, rates, num_dims = _problem("Turing-NLG")
         cold = _solve(expression, rates, num_dims, scheme, 300.0)
@@ -147,36 +142,41 @@ class TestWarmColdEquivalence:
         from repro.training.expr import simplify, vector_evaluator
 
         expression, rates, num_dims = _problem("GPT-3")
-        prior = _solve(expression, rates, num_dims, "perf", 150.0)
+        prior = _solve(expression, rates, num_dims, "perf-per-cost", 150.0)
         constraints = _constraints(num_dims, 600.0)
-        warm = minimize_training_time(
-            expression, constraints, warm_start=np.asarray(prior.bandwidths)
+        warm = minimize_time_cost_product(
+            expression, constraints, rates,
+            warm_start=np.asarray(prior.bandwidths),
         )
         evaluate = vector_evaluator(simplify(expression))
         seed_floor = min(
-            evaluate(seed) for seed in build_seeds(expression, constraints)
+            evaluate(seed) * float(rates @ seed)
+            for seed in build_seeds(expression, constraints, cost_rates=rates)
         )
         assert warm.objective <= seed_floor * (1 + WARM_TRUST_RTOL)
 
 
 class TestMaxStarts:
+    """``max_starts`` caps PerfPerCost's seed family; the inner PerfOpt
+    seed always joins it, so a cap of one runs two starts."""
+
     def test_max_starts_truncates_the_family(self):
         expression, rates, num_dims = _problem("Turing-NLG")
-        full = _solve(expression, rates, num_dims, "perf", 300.0)
+        full = _solve(expression, rates, num_dims, "perf-per-cost", 300.0)
         capped = _solve(
-            expression, rates, num_dims, "perf", 300.0, max_starts=1
+            expression, rates, num_dims, "perf-per-cost", 300.0, max_starts=1
         )
-        assert capped.starts == 1
-        assert full.starts > 1
-        # PerfOpt is convex: the answer cannot depend on the seed count.
-        assert capped.objective == pytest.approx(full.objective, rel=1e-6)
+        assert capped.starts == 2
+        assert full.starts > 2
+        # The full family's starts include the capped family's.
+        assert full.objective <= capped.objective
 
     def test_max_starts_floor_is_one_seed(self):
         expression, rates, num_dims = _problem("Turing-NLG")
         result = _solve(
-            expression, rates, num_dims, "perf", 300.0, max_starts=0
+            expression, rates, num_dims, "perf-per-cost", 300.0, max_starts=0
         )
-        assert result.starts == 1
+        assert result.starts == 2
 
 
 class TestProjection:

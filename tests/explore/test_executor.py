@@ -13,6 +13,7 @@ from repro.explore import (
     SweepSpec,
     run_sweep,
 )
+from repro.explore.keys import resolve_topology
 
 TINY = "RI(3)_RI(2)"
 
@@ -116,9 +117,13 @@ class TestCaching:
 
     def test_widening_an_axis_only_solves_new_cells(self):
         cache = ResultCache()
-        run_sweep(tiny_spec(bandwidths_gbps=(100.0, 300.0)), cache=cache)
+        run_sweep(
+            tiny_spec(bandwidths_gbps=(100.0, 300.0), schemes=PPC),
+            cache=cache,
+        )
         widened = run_sweep(
-            tiny_spec(bandwidths_gbps=(100.0, 200.0, 300.0)), cache=cache
+            tiny_spec(bandwidths_gbps=(100.0, 200.0, 300.0), schemes=PPC),
+            cache=cache,
         )
         assert widened.cache_hits == 2
         assert widened.solver_calls == 1
@@ -166,6 +171,23 @@ class TestPerWorkerLRU:
         assert workload_info.misses == 1
         assert workload_info.hits == 2
 
+    def test_overridden_preset_is_not_served_from_the_memo(self):
+        """Re-registering a resolved preset reaches the next cell."""
+        from repro.api.registry import TOPOLOGIES
+        from repro.explore.executor import point_scenario
+
+        point = ExplorationPoint("Turing-NLG", "3D-512", 100.0, Scheme.PERF_OPT)
+        assert point_scenario(point).network.num_dims == 3
+        stock = TOPOLOGIES.get("3D-512")
+        TOPOLOGIES.register(
+            "3D-512", lambda: resolve_topology(TINY), overwrite=True
+        )
+        try:
+            assert point_scenario(point).network.num_dims == 2
+        finally:
+            TOPOLOGIES.register("3D-512", stock, overwrite=True)
+        assert point_scenario(point).network.num_dims == 3
+
     def test_lru_failures_propagate_uncached(self):
         from repro.explore.executor import _resolve_topology_cached
 
@@ -204,7 +226,9 @@ class TestParallelExecution:
             for tp in (1, 2)
         ] + ["DLRM"]
         points = [
-            ExplorationPoint(workload, topology, budget, Scheme.PERF_OPT)
+            ExplorationPoint(
+                workload, topology, budget, Scheme.PERF_PER_COST_OPT
+            )
             for workload in columns
             for budget in (100.0, 200.0)
         ]
@@ -229,9 +253,15 @@ class TestParallelExecution:
         assert warm.hit_rate == 1.0 and warm.solver_calls == 0
 
 
+#: Continuation is PerfPerCostOptBW's: a PerfOptBW cell takes no warm start.
+PPC = (Scheme.PERF_PER_COST_OPT,)
+
+
 class TestContinuation:
     def test_chain_cells_report_warm_diagnostics(self):
-        sweep = run_sweep(tiny_spec(bandwidths_gbps=(100.0, 200.0, 300.0)))
+        sweep = run_sweep(
+            tiny_spec(bandwidths_gbps=(100.0, 200.0, 300.0), schemes=PPC)
+        )
         first, second, third = sweep.results
         assert first.warm_start == "cold"
         for row in (second, third):
@@ -293,9 +323,13 @@ class TestContinuation:
         """Appending one budget to a cached column must not pay a cold
         solve: the new cell seeds from the nearest cached optimum."""
         cache = ResultCache()
-        run_sweep(tiny_spec(bandwidths_gbps=(100.0, 300.0)), cache=cache)
+        run_sweep(
+            tiny_spec(bandwidths_gbps=(100.0, 300.0), schemes=PPC),
+            cache=cache,
+        )
         widened = run_sweep(
-            tiny_spec(bandwidths_gbps=(100.0, 200.0, 300.0)), cache=cache
+            tiny_spec(bandwidths_gbps=(100.0, 200.0, 300.0), schemes=PPC),
+            cache=cache,
         )
         assert widened.cache_hits == 2
         assert widened.solver_calls == 1
@@ -309,11 +343,10 @@ class TestContinuation:
         """A distrusted warm seed must fall back to the cold fan-out."""
         import repro.core.solver as solver
 
-        cold = run_sweep(
-            tiny_spec(bandwidths_gbps=(100.0, 200.0)), continuation=False
-        )
+        spec = tiny_spec(bandwidths_gbps=(100.0, 200.0), schemes=PPC)
+        cold = run_sweep(spec, continuation=False)
         monkeypatch.setattr(solver, "WARM_TRUST_RTOL", -1.0)
-        warm = run_sweep(tiny_spec(bandwidths_gbps=(100.0, 200.0)))
+        warm = run_sweep(spec)
         assert warm.results[1].warm_start == "rejected:drift"
         assert warm.profile.warm_rejected == 1
         for a, b in zip(cold.results, warm.results):

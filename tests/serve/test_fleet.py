@@ -373,6 +373,27 @@ class TestFleetInProcess:
             manager_b.shutdown(cancel_pending=False)
             fleet_a.leases.release(job_id)
 
+    def test_scan_mirrors_a_live_peer_job_queued_after_start(self, tmp_path):
+        store_b = JobStore(tmp_path / "state")
+        fleet_b = FleetCoordinator(
+            store_b, owner_id="srv-b", poll_interval_s=3600.0
+        )
+        manager_b = JobManager(workers=1, store=store_b, fleet=fleet_b)
+        store_a = JobStore(tmp_path / "state")
+        fleet_a = FleetCoordinator(store_a, owner_id="srv-a", lease_ttl_s=60.0)
+        try:
+            job_id = _persist_queued(store_a, _request())
+            assert fleet_a.leases.claim(job_id).won  # the live peer's claim
+            assert manager_b.get(job_id) is None
+            fleet_b.poll_once()
+            handle = manager_b.get(job_id)
+            assert handle is not None
+            assert handle.state is JobState.QUEUED
+            assert not fleet_b.owns(job_id)
+        finally:
+            manager_b.shutdown(cancel_pending=False)
+            fleet_a.leases.release(job_id)
+
     def test_terminal_peer_job_adopted_and_deduped(self, tmp_path):
         request = _request()
         store_a = JobStore(tmp_path / "state")
@@ -673,8 +694,9 @@ class TestTwoServerFleet:
         member_a.kill()
 
         # The dead pid makes the lease stale at once (same host); B's
-        # scan requeues the job through the recovery path. B serves no
-        # mirror of a peer's live job, so it answers 404 until then.
+        # scan requeues the job through the recovery path. B mirrors a
+        # live peer's job from its first scan after the submit on, so it
+        # answers 200 here; the loop only waits out a scan not yet run.
         deadline = time.monotonic() + 60
         while member_b.get(f"/v3/jobs/{job_id}")[0] == 404:
             assert time.monotonic() < deadline, "survivor never took over"

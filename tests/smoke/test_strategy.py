@@ -2,7 +2,9 @@
 
 The server's solves are slowed so the kill lands mid-search. A restart on
 the same state directory recovers the job, and the resumed frontier must
-equal a cold inline run of the same request, row for row.
+equal a cold inline run of the same request, row for row. The search runs
+PerfPerCostOptBW, the scheme whose cells take warm starts, so the resumed
+search must also reuse them.
 """
 
 import json
@@ -18,6 +20,7 @@ REQUEST = CostrategyRequest(
     workload="Turing-NLG", topology="Google TPUv2",
     budgets_gbps=(100.0, 200.0, 300.0),
     space=StrategySpace(max_tp=2),
+    scheme="perf-per-cost",
 )
 
 

@@ -60,8 +60,12 @@ class TestJointSearch:
             base_workload_name(name) == WORKLOAD for name in names
         )
 
-    def test_warm_start_reuse_within_and_across_strategies(self, searched):
-        search, _ = searched
+    def test_warm_start_reuse_within_and_across_strategies(self):
+        # Continuation is PerfPerCostOptBW's: PerfOptBW takes no warm start.
+        search = joint_search(
+            WORKLOAD, TOPOLOGY, BUDGETS, space=SPACE,
+            scheme=Scheme.PERF_PER_COST_OPT, cache=ResultCache(),
+        )
         diagnostics = search.diagnostics
         assert diagnostics["cells"] == 6
         assert diagnostics["solved"] == 6
@@ -246,12 +250,14 @@ class TestMatchesSerialReference:
         search = self._assert_matches(
             WORKLOAD, TOPOLOGY, BUDGETS, SPACE, scheme
         )
-        assert search.diagnostics["cross_warm_accepted"] >= 1
+        # Only PerfPerCostOptBW takes a warm start.
+        crossed = search.diagnostics["cross_warm_accepted"]
+        assert crossed >= 1 if scheme is Scheme.PERF_PER_COST_OPT else crossed == 0
 
     def test_gpt3_on_a_512_npu_fabric(self):
         search = self._assert_matches(
             "GPT-3", "RI(8)_FC(8)_SW(8)", (150.0, 350.0, 600.0, 900.0),
-            StrategySpace(max_tp=16), Scheme.PERF_OPT,
+            StrategySpace(max_tp=16), Scheme.PERF_PER_COST_OPT,
         )
         assert len(search.runs) >= 3
 
@@ -259,12 +265,12 @@ class TestMatchesSerialReference:
         """A crash after k cells leaves the first k in the cache; the
         recovered search seeds exactly like the uninterrupted one."""
         fresh, _ = reference_search(
-            WORKLOAD, TOPOLOGY, BUDGETS, SPACE, Scheme.PERF_OPT,
+            WORKLOAD, TOPOLOGY, BUDGETS, SPACE, Scheme.PERF_PER_COST_OPT,
             ResultCache(),
         )
         for k in range(len(fresh) + 1):
             search = self._assert_matches(
-                WORKLOAD, TOPOLOGY, BUDGETS, SPACE, Scheme.PERF_OPT,
+                WORKLOAD, TOPOLOGY, BUDGETS, SPACE, Scheme.PERF_PER_COST_OPT,
                 rows=fresh[:k],
             )
             assert search.diagnostics["cached"] == k
