@@ -1,21 +1,19 @@
-"""Sweep hot-path benchmark: continuation (warm-start) vs cold grids.
+"""Sweep hot-path benchmark: cells per second over a whole grid.
 
 Times a fig13-style budget sweep (GPT-3 on 4D-4K across seven budgets,
-both schemes, by default) through the real explore engine twice — once
-with every cell solved from cold seeds, once with the default continuation
-chains — verifies the two paths agree per cell within the documented
-objective tolerance, and writes a ``BENCH_sweep.json`` artifact (wall
-clock, cells/sec, warm-start hit breakdown).
+both schemes, by default) through the real explore engine, audits every
+cell's certificate, and writes a ``BENCH_sweep.json`` artifact (wall
+clock, cells/sec, the audit).
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/perf/bench_sweep_hotpath.py
     PYTHONPATH=src python benchmarks/perf/bench_sweep_hotpath.py --quick
     PYTHONPATH=src python benchmarks/perf/bench_sweep_hotpath.py \
-        --min-speedup 2.0
+        --min-cells-per-s 40
 
-Exit status: 1 on warm-vs-cold equivalence drift or an unmet
-``--min-speedup`` floor, 0 otherwise. (``repro bench --sweep`` is the
+Exit status: 1 when a cell fails its audit or the ``--min-cells-per-s``
+floor is unmet, 0 otherwise. (``repro bench --sweep`` is the
 packaged equivalent; this script exists so the perf trajectory can be
 measured without installing.)
 """
@@ -48,12 +46,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="scheme axis entry (repeatable; default "
                              "perf + perf-per-cost)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of-N repetitions per path (default 3)")
+                        help="best-of-N repetitions (default 3)")
     parser.add_argument("--quick", action="store_true",
                         help="seconds-scale smoke configuration "
                              "(Turing-NLG on 3D-512)")
-    parser.add_argument("--min-speedup", type=float, default=0.0,
-                        help="fail if the warm/cold speedup is below this "
+    parser.add_argument("--min-cells-per-s", type=float, default=0.0,
+                        help="fail below this many cells per second "
                              "(default 0 = report only)")
     parser.add_argument("--output", default="BENCH_sweep.json")
     args = parser.parse_args(argv)
@@ -73,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         artifact = run_sweep_benchmark(config)
     except BenchEquivalenceError as exc:
-        print(f"EQUIVALENCE DRIFT: {exc}", file=sys.stderr)
+        print(f"AUDIT FAILED: {exc}", file=sys.stderr)
         return 1
     print(format_sweep_report(artifact))
     with open(args.output, "w") as handle:
@@ -81,10 +79,10 @@ def main(argv: list[str] | None = None) -> int:
         handle.write("\n")
     print(f"wrote {args.output}")
 
-    if args.min_speedup > 0 and artifact["speedup"] < args.min_speedup:
+    floor = args.min_cells_per_s
+    if floor > 0 and artifact["cells_per_s"] < floor:
         print(
-            f"FAIL: sweep speedup {artifact['speedup']:.2f}x "
-            f"< floor {args.min_speedup:g}x",
+            f"FAIL: {artifact['cells_per_s']:.1f} cells/s < floor {floor:g}",
             file=sys.stderr,
         )
         return 1

@@ -161,8 +161,7 @@ def _attribute_rows(
     lower per row), then max-epigraph rows, then comm rows.
     """
     blocks = build_constraint_blocks(program, constraints)
-    values = np.empty(blocks.num_rows)
-    blocks.values_into(values, x)
+    values = blocks.values(x)
     num_dims = program.num_dims
 
     rows: list[ConstraintAttribution] = []

@@ -52,7 +52,6 @@ from repro.api.registry import (
 from repro.api.requests import (
     REQUEST_SCHEMA_VERSION,
     RESPONSE_SCHEMA_VERSION,
-    WARM_START_AUTO,
     AnalyzeRequest,
     AnalyzeResponse,
     BatchRequest,
@@ -89,7 +88,6 @@ __all__ = [
     "resolve_workload",
     "REQUEST_SCHEMA_VERSION",
     "RESPONSE_SCHEMA_VERSION",
-    "WARM_START_AUTO",
     "AnalyzeRequest",
     "AnalyzeResponse",
     "BatchRequest",

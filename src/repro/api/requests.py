@@ -59,10 +59,14 @@ RESPONSE_SCHEMA_VERSION = 5
 #: unchanged, so v3 envelopes up-convert transparently. v5 adds the
 #: ``costrategy`` kind (joint strategy × bandwidth co-optimization); the
 #: earlier kinds are unchanged, so v4 envelopes up-convert transparently.
-REQUEST_SCHEMA_VERSION = 5
+#: v6 drops the optimize request's ``warm_start`` and ``max_starts`` fields
+#: (every solve is one certified kernel run that takes no seed); earlier
+#: payloads and stored job records still read, with those fields and the
+#: ``kernel`` and ``cross_warm`` keys of v5 ignored.
+REQUEST_SCHEMA_VERSION = 6
 
 #: Request schema versions :func:`OptimizeRequest.from_dict` still reads.
-_READABLE_REQUEST_VERSIONS = (1, 2, 3, 4, REQUEST_SCHEMA_VERSION)
+_READABLE_REQUEST_VERSIONS = (1, 2, 3, 4, 5, REQUEST_SCHEMA_VERSION)
 
 #: Response schema versions :func:`OptimizeResponse.from_dict` still reads
 #: (the v2 → v3 layout change touched only batch responses; v3 → v4 only
@@ -93,10 +97,6 @@ def check_schema_version(
         )
     return version
 
-#: The ``warm_start`` sentinel asking the service to consult its own
-#: per-engine solution memo instead of an explicitly provided point.
-WARM_START_AUTO = "auto"
-
 
 @dataclass(frozen=True)
 class OptimizeRequest:
@@ -110,48 +110,15 @@ class OptimizeRequest:
             instead of solving, GB/s.
         include_baseline: Attach the EqualBW baseline and comparison
             metrics when the scenario carries a total-bandwidth budget.
-        warm_start: Continuation seed for the PerfPerCostOptBW solver.
-            ``None`` (default) is the cold path; a bandwidth tuple (GB/s)
-            is an explicit prior optimum (e.g. the neighboring sweep
-            cell); the string :data:`WARM_START_AUTO` asks the service to
-            look up its solution memo for this engine × scheme ×
-            constraint family. Ignored for PerfOptBW (one interior-point
-            run that depends on the problem alone), EqualBW and explicit
-            evaluations.
-        max_starts: Cap on the PerfPerCostOptBW multi-start seed family;
-            ``None`` keeps the full family (the historical default).
-            Ignored for PerfOptBW.
     """
 
     scenario: Scenario
     scheme: Scheme = Scheme.PERF_OPT
     bandwidths_gbps: tuple[float, ...] | None = None
     include_baseline: bool = True
-    warm_start: tuple[float, ...] | str | None = None
-    max_starts: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", resolve_scheme(self.scheme))
-        if isinstance(self.warm_start, str):
-            if self.warm_start != WARM_START_AUTO:
-                raise ConfigurationError(
-                    f"warm_start must be a bandwidth tuple, None, or "
-                    f"{WARM_START_AUTO!r}; got {self.warm_start!r}"
-                )
-        elif self.warm_start is not None:
-            values = tuple(float(b) for b in self.warm_start)
-            if len(values) != self.scenario.network.num_dims:
-                raise ConfigurationError(
-                    f"warm_start needs {self.scenario.network.num_dims} "
-                    f"bandwidths, got {len(values)}"
-                )
-            for value in values:
-                check_positive(value, "warm_start bandwidths")
-            object.__setattr__(self, "warm_start", values)
-        if self.max_starts is not None and self.max_starts < 1:
-            raise ConfigurationError(
-                f"max_starts must be >= 1, got {self.max_starts}"
-            )
         if self.bandwidths_gbps is not None:
             values = tuple(float(b) for b in self.bandwidths_gbps)
             if len(values) != self.scenario.network.num_dims:
@@ -170,7 +137,6 @@ class OptimizeRequest:
 
     def to_dict(self) -> dict:
         """JSON-ready payload; inverse of :meth:`from_dict`."""
-        warm = self.warm_start
         return {
             "schema_version": REQUEST_SCHEMA_VERSION,
             "scenario": self.scenario.to_dict(),
@@ -179,28 +145,21 @@ class OptimizeRequest:
                 None if self.bandwidths_gbps is None else list(self.bandwidths_gbps)
             ),
             "include_baseline": self.include_baseline,
-            "warm_start": list(warm) if isinstance(warm, tuple) else warm,
-            "max_starts": self.max_starts,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "OptimizeRequest":
         """Rebuild a request from :meth:`to_dict` output.
 
-        Accepts version-1 payloads (no ``schema_version`` field), which
-        predate the continuation fields and parse as cold requests, and
-        version-2 payloads (same field layout as v3, minus the job
-        envelope handled by :func:`request_from_dict`). A ``kernel`` key,
-        which payloads and job records written before the solver had one
-        kernel carry, is ignored.
+        Accepts every readable version: version-1 payloads carry no
+        ``schema_version`` field, and the ``warm_start``/``max_starts``
+        fields of versions 2–5 (and a v5 ``kernel`` key) are ignored.
         """
         check_schema_version(
             payload, _READABLE_REQUEST_VERSIONS, "request", default=1
         )
         try:
             bandwidths = payload.get("bandwidths_gbps")
-            warm = payload.get("warm_start")
-            max_starts = payload.get("max_starts")
             return cls(
                 scenario=Scenario.from_dict(payload["scenario"]),
                 scheme=resolve_scheme(payload.get("scheme", "perf")),
@@ -209,11 +168,6 @@ class OptimizeRequest:
                     else tuple(float(b) for b in bandwidths)
                 ),
                 include_baseline=bool(payload.get("include_baseline", True)),
-                warm_start=(
-                    warm if warm is None or isinstance(warm, str)
-                    else tuple(float(b) for b in warm)
-                ),
-                max_starts=None if max_starts is None else int(max_starts),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(
@@ -236,13 +190,10 @@ class OptimizeResponse:
         ppc_gain_over_baseline: ``(T·C)_base / (T·C)_point``; ``None``
             without a baseline.
         diagnostics: Solver telemetry for solve requests (``None`` for
-            EqualBW and explicit evaluations): ``starts`` — seeds the
-            multi-start actually ran (1 for PerfOptBW's interior-point
-            run); ``max_starts`` — the requested cap;
-            ``warm_start`` — ``"cold"``, ``"accepted"``, or
-            ``"rejected:<reason>"``; ``warm_source`` — where the warm seed
-            came from (``"none"``, ``"explicit"``, ``"memo-hit"``,
-            ``"memo-miss"``).
+            EqualBW and explicit evaluations): ``starts`` — the kernel
+            runs the solve took (always 1). Responses written before
+            request schema v6 may also carry ``max_starts``,
+            ``warm_start`` and ``warm_source``.
     """
 
     scenario_key: str
@@ -365,9 +316,8 @@ class BatchResponse:
         diagnostics: Sweep telemetry remote clients would otherwise lose
             (``repro explore --profile`` prints the same numbers locally):
             ``fanout_cells`` — duplicate grid cells served by copying;
-            ``cache_hits`` / ``solver_calls`` — the cache split;
-            ``warm_hit_rate`` plus the ``profile`` object — per-stage
-            timings and warm-start accounting of this particular
+            ``cache_hits`` / ``solver_calls`` — the cache split; the
+            ``profile`` object — per-stage timings of this particular
             execution. ``None`` on payloads that predate schema v3.
     """
 
@@ -414,8 +364,8 @@ class AnalyzeRequest:
       analysis is read-only by contract);
     * ``scenario`` + ``bandwidths_gbps`` — an inline point evaluated
       directly (no solver);
-    * ``scenario`` alone — the service solves (or serves from its
-      solution memo) under ``scheme`` first, then analyzes the optimum.
+    * ``scenario`` alone — the service solves under ``scheme`` first,
+      then analyzes the optimum.
 
     Attributes:
         scenario: Problem statement for inline/solve targets.
@@ -585,8 +535,7 @@ class CostrategyRequest:
 
     The service enumerates the :class:`~repro.strategy.space.StrategySpace`
     over the topology's node count, solves every surviving strategy across
-    ``budgets_gbps`` through the shared result cache (warm-starting within
-    and across strategies), and answers with the
+    ``budgets_gbps`` through the shared result cache, and answers with the
     :class:`~repro.strategy.frontier.StrategyFrontier`.
 
     Attributes:
@@ -658,11 +607,7 @@ class CostrategyRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "CostrategyRequest":
-        """Rebuild a costrategy request from :meth:`to_dict` output.
-
-        A ``cross_warm`` key, which payloads and job records written while
-        cross-strategy seeding was optional carry, is ignored.
-        """
+        """Rebuild a costrategy request from :meth:`to_dict` output."""
         from repro.strategy.space import StrategySpace
 
         check_schema_version(
@@ -702,8 +647,7 @@ class CostrategyResponse:
     Attributes:
         frontier: The joint search's decision surface — best strategy per
             budget, the strategy × bandwidth Pareto set, per-strategy
-            attribution, and every underlying cell (its ``diagnostics``
-            carry the warm-start accounting).
+            attribution, and every underlying cell.
     """
 
     frontier: "StrategyFrontier"
@@ -770,7 +714,7 @@ def request_to_dict(request: "ServiceRequest") -> dict:
     The envelope is what ``POST /v3/jobs`` accepts and what job ids are
     derived from::
 
-        {"schema_version": 5, "kind": "optimize", "request": {...}}
+        {"schema_version": 6, "kind": "optimize", "request": {...}}
     """
     return {
         "schema_version": REQUEST_SCHEMA_VERSION,
@@ -784,7 +728,7 @@ def request_from_dict(payload: Mapping) -> "ServiceRequest":
 
     Three accepted shapes:
 
-    * the v3–v5 envelope (``kind`` + ``request``; ``analyze`` and
+    * the v3–v6 envelope (``kind`` + ``request``; ``analyze`` and
       ``costrategy`` require it),
     * a bare v1/v2/v3 :class:`OptimizeRequest` payload (up-converted — the
       historical wire format, identified by its ``scenario`` field),

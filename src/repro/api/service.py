@@ -6,19 +6,13 @@ statement as a :class:`~repro.api.scenario.Scenario` — so a single service
 instance can serve arbitrarily many interleaved scenarios, and any future
 HTTP/queue front end is a thin codec over :meth:`LibraService.submit`.
 
-The service keeps two bounded memos, both keyed on canonical content:
-
-* *compiled engines* — building a :class:`~repro.core.framework.Libra`
-  from a scenario (workload construction, symbolic step-time expressions)
-  dominates repeat-request latency, so engines are cached on the
-  scenario's canonical key. Two structurally identical scenarios —
-  whatever their display names or payload field order — share one engine.
-* *prior solutions* — the optimum of every successful solve, keyed by
-  ``engine × scheme × constraint family`` (the constraint set's canonical
-  payload minus the budget scalar). Every solve *writes* its optimum (so
-  cold requests seed later continuations), but only a request with
-  ``warm_start="auto"`` ever *reads* the memo — with ``warm_start=None``
-  (the default) single solves stay cold and bit-reproducible.
+Building a :class:`~repro.core.framework.Libra` from a scenario (workload
+construction, symbolic step-time expressions) dominates repeat-request
+latency, so the service keeps a bounded memo of compiled engines keyed on
+the scenario's canonical content: two structurally identical scenarios —
+whatever their display names or payload field order — share one engine.
+Every solve is one certified kernel run that depends on the problem alone,
+so no solve reads anything an earlier request left behind.
 
 Typical session::
 
@@ -46,7 +40,6 @@ from repro.analysis import (
     evaluate_whatifs,
 )
 from repro.api.requests import (
-    WARM_START_AUTO,
     AnalyzeRequest,
     AnalyzeResponse,
     BatchRequest,
@@ -58,7 +51,6 @@ from repro.api.requests import (
     request_kind,
 )
 from repro.api.scenario import Scenario
-from repro.core.constraints import ConstraintSet
 from repro.core.framework import Libra
 from repro.core.results import DesignPoint, Scheme
 from repro.obs import metrics as obs_metrics
@@ -77,14 +69,6 @@ def _engine_memo_counter():
     return obs_metrics.get_registry().counter(
         obs_names.SERVICE_ENGINE_MEMO,
         "Engine-memo consultations (a miss is a scenario compile).",
-        labels=("outcome",),
-    )
-
-
-def _solution_memo_counter():
-    return obs_metrics.get_registry().counter(
-        obs_names.SERVICE_SOLUTION_MEMO,
-        "Solution-memo reads (hit/miss) and writes (store).",
         labels=("outcome",),
     )
 
@@ -161,30 +145,11 @@ def register_strategy_families(registry) -> None:
     ).labels()
 
 
-def constraint_family_key(constraints: ConstraintSet) -> str:
-    """Content address of a constraint set *minus* its budget scalar.
-
-    Cells of one sweep column differ only in ``total_bandwidth`` (and the
-    budget row it implies); everything else — box bounds, caps, orderings,
-    extra linear rows — is the *family*. Prior optima are memoized per
-    family so a new budget in the same family can warm-start from them.
-    """
-    payload = constraints.canonical()
-    total = payload.pop("total_bandwidth")
-    if total is not None:
-        ones = [1.0] * constraints.num_dims
-        payload["rows"] = [
-            row for row in payload["rows"]
-            if not (row["coeffs"] == ones and row["upper"] == total)
-        ]
-    return digest(payload)
-
-
 class LibraService:
-    """Stateless scenario optimizer with bounded engine and solution memos.
+    """Stateless scenario optimizer with bounded engine and analyze memos.
 
-    Thread-safe: one lock guards every memo (engines, prior solutions, the
-    lazy batch cache), so a single service instance can sit behind a
+    Thread-safe: one lock guards every memo (engines, analyses, the lazy
+    batch cache), so a single service instance can sit behind a
     worker pool (:class:`repro.serve.JobManager`) or any other concurrent
     caller. Engine compilation runs *outside* the lock — two threads
     racing on one cold key may both compile, but the memo stays
@@ -195,8 +160,6 @@ class LibraService:
         max_compiled: Engine-memo capacity (LRU eviction). Compiled engines
             hold symbolic expression trees, so the bound keeps a
             long-running service's footprint flat.
-        max_solutions: Solution-memo capacity (LRU eviction); each entry is
-            one bandwidth tuple, so the default is generous.
         max_analyses: Analyze-memo capacity (LRU eviction): whole analyze
             responses keyed on the resolved target's content, so repeat
             what-if sessions against one cached point skip all
@@ -206,27 +169,20 @@ class LibraService:
     def __init__(
         self,
         max_compiled: int = 128,
-        max_solutions: int = 1024,
         max_analyses: int = 1024,
     ):
         if max_compiled < 1:
             raise ConfigurationError(
                 f"max_compiled must be >= 1, got {max_compiled}"
             )
-        if max_solutions < 1:
-            raise ConfigurationError(
-                f"max_solutions must be >= 1, got {max_solutions}"
-            )
         if max_analyses < 1:
             raise ConfigurationError(
                 f"max_analyses must be >= 1, got {max_analyses}"
             )
         self._max_compiled = max_compiled
-        self._max_solutions = max_solutions
         self._max_analyses = max_analyses
         self._lock = threading.Lock()
         self._engines: OrderedDict[str, Libra] = OrderedDict()
-        self._solutions: OrderedDict[tuple, tuple[float, ...]] = OrderedDict()
         self._analyses: OrderedDict[str, AnalyzeResponse] = OrderedDict()
         self._whatif_memo = WhatIfMemo()
         self._batch_cache = None  # lazy per-service in-memory ResultCache
@@ -269,57 +225,13 @@ class LibraService:
         with self._lock:
             return len(self._engines)
 
-    @property
-    def solution_count(self) -> int:
-        """How many prior optima the solution memo currently holds."""
-        with self._lock:
-            return len(self._solutions)
-
     def clear(self) -> None:
-        """Drop every memo: engines, solutions, analyses, the batch cache."""
+        """Drop every memo: engines, analyses, the batch cache."""
         with self._lock:
             self._engines.clear()
-            self._solutions.clear()
             self._analyses.clear()
             self._whatif_memo = WhatIfMemo()
             self._batch_cache = None
-
-    # -- solution memo -------------------------------------------------------
-
-    def _solution_key(
-        self, scenario: Scenario, scheme: Scheme
-    ) -> tuple | None:
-        if scenario.constraints is None:
-            return None
-        return (
-            scenario.engine_key(),
-            scheme.value,
-            constraint_family_key(scenario.constraints),
-        )
-
-    def _recall_solution(self, key: tuple | None) -> tuple[float, ...] | None:
-        if key is None:
-            return None
-        with self._lock:
-            solution = self._solutions.get(key)
-            if solution is not None:
-                self._solutions.move_to_end(key)
-        _solution_memo_counter().labels(
-            outcome="hit" if solution is not None else "miss"
-        ).inc()
-        return solution
-
-    def _store_solution(
-        self, key: tuple | None, bandwidths: tuple[float, ...]
-    ) -> None:
-        if key is None:
-            return
-        _solution_memo_counter().labels(outcome="store").inc()
-        with self._lock:
-            self._solutions[key] = bandwidths
-            self._solutions.move_to_end(key)
-            if len(self._solutions) > self._max_solutions:
-                self._solutions.popitem(last=False)
 
     # -- dispatch ------------------------------------------------------------
 
@@ -347,12 +259,12 @@ class LibraService:
 
         Both keyword seams are *runtime* concerns, deliberately not part
         of the (serializable) request value. ``should_stop`` is a
-        cooperative cancellation predicate polled before each solve,
-        between multi-start seeds and between sweep cells (a true return
+        cooperative cancellation predicate polled before each solve and
+        between sweep cells (a true return
         raises
         :class:`~repro.utils.errors.JobCancelled`). ``on_event`` receives
-        structured progress dicts — the solver's warm-start outcome for
-        single solves, per-cell/per-chain events for batches — which
+        structured progress dicts — the solver's run count for single
+        solves, per-cell/per-chain events for batches — which
         :class:`repro.serve.JobManager` turns into streamed
         ``ProgressEvent``\\ s.
         """
@@ -397,23 +309,11 @@ class LibraService:
         elif request.scheme is Scheme.EQUAL_BW:
             point = engine.equal_bw_point(self._budget(scenario))
         else:
-            memo_key = self._solution_key(scenario, request.scheme)
-            warm, warm_source = self._resolve_warm_start(request, memo_key)
             point, solver_result = engine.optimize_result(
-                request.scheme,
-                scenario.constraints,
-                warm_start=warm,
-                max_starts=request.max_starts,
-                should_stop=should_stop,
+                request.scheme, scenario.constraints, should_stop=should_stop
             )
-            self._store_solution(memo_key, point.bandwidths)
             if solver_result is not None:
-                diagnostics = {
-                    "starts": solver_result.starts,
-                    "max_starts": request.max_starts,
-                    "warm_start": solver_result.warm_start or "cold",
-                    "warm_source": warm_source,
-                }
+                diagnostics = {"starts": solver_result.starts}
                 if on_event is not None:
                     on_event({"type": "solve", **diagnostics})
 
@@ -439,19 +339,6 @@ class LibraService:
             ),
             diagnostics=diagnostics,
         )
-
-    def _resolve_warm_start(
-        self, request: OptimizeRequest, memo_key: tuple | None
-    ) -> tuple[tuple[float, ...] | None, str]:
-        """The warm seed (bytes/s) a solve request asked for, plus its origin."""
-        if request.warm_start is None:
-            return None, "none"
-        if request.warm_start == WARM_START_AUTO:
-            recalled = self._recall_solution(memo_key)
-            if recalled is None:
-                return None, "memo-miss"
-            return recalled, "memo-hit"
-        return tuple(gbps(b) for b in request.warm_start), "explicit"
 
     @staticmethod
     def _budget(scenario: Scenario) -> float:
@@ -671,8 +558,7 @@ def sweep_diagnostics(sweep, cache=None) -> dict:
 
     Mirrors what ``repro explore --profile`` prints locally so remote
     clients get the same telemetry: duplicate fan-out, the cache split,
-    the warm-start hit rate, and the per-stage :class:`SweepProfile`
-    timings of this particular execution (wall-clock numbers live here —
+    and the per-stage :class:`SweepProfile` timings of this particular execution (wall-clock numbers live here —
     on the response envelope — precisely because they are *not* row
     data and never enter cache keys or row-identity comparisons). With a
     ``cache``, its lifetime :meth:`~repro.explore.cache.ResultCache.stats`
@@ -686,7 +572,6 @@ def sweep_diagnostics(sweep, cache=None) -> dict:
         "solver_calls": sweep.solver_calls,
         "fanout_cells": sweep.fanout_cells,
         "num_errors": sweep.num_errors,
-        "warm_hit_rate": 0.0 if profile is None else profile.warm_hit_rate,
         "profile": None if profile is None else profile.to_dict(),
         "cache": None if cache is None else cache.stats(),
     }

@@ -25,7 +25,7 @@ Every subcommand is a thin request builder over the
         --bw 1000 --scheme perf --scheme perf-per-cost \\
         --workers 4 --cache-dir .repro-cache --output results.json
     repro-libra explore --spec sweep.json --cache-dir .repro-cache
-    repro-libra explore --spec sweep.json --profile --no-continuation
+    repro-libra explore --spec sweep.json --profile
     repro-libra explore --spec sweep.json --trace trace.json
     repro-libra obs trace trace.json
     repro-libra simulate --topology 4D-4K --workload GPT-3 \\
@@ -34,7 +34,7 @@ Every subcommand is a thin request builder over the
     repro-libra bench --workload GPT-3 --topology 4D-4K --total-bw 500 \\
         --output BENCH_solver.json
     repro-libra bench --quick
-    repro-libra bench --sweep --min-speedup 2.0
+    repro-libra bench --sweep --quick --min-cells-per-s 40
 
 ``--json`` on optimize / sweep / cost / simulate emits the machine-readable
 response payload instead of the human report. Bandwidths are GB/s on the
@@ -151,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         "costrategy",
         help="joint parallelization-strategy × bandwidth co-optimization: "
              "enumerate (tp, cp, ep, pp, dp) factorizations of the node "
-             "count, solve each across the budgets with warm-start reuse, "
-             "and report the strategy frontier",
+             "count, solve each across the budgets, and report the "
+             "strategy frontier",
     )
     costrategy.add_argument(
         "--workload", required=True, metavar="NAME",
@@ -297,12 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument(
         "--profile", action="store_true",
         help="print a per-stage timing summary (cache lookup / solve / "
-             "assembly) and the warm-start hit rate",
-    )
-    explore.add_argument(
-        "--no-continuation", action="store_true",
-        help="solve every cell from cold seeds instead of propagating "
-             "warm starts through budget chains (the reference path)",
+             "assembly)",
     )
     explore.add_argument(
         "--trace", metavar="FILE",
@@ -369,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--sweep", action="store_true",
-        help="benchmark whole sweep grids instead of single solves: "
-             "continuation (warm) vs cold, writes BENCH_sweep.json",
+        help="benchmark whole sweep grids instead of single solves "
+             "(cells per second, every cell's certificate audited), "
+             "writes BENCH_sweep.json",
     )
     bench.add_argument(
         "--analyze", action="store_true",
@@ -379,13 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--strategy", action="store_true",
-        help="benchmark the joint strategy × bandwidth search: warm-start "
-             "reuse vs independent cold columns, writes BENCH_strategy.json",
-    )
-    bench.add_argument(
-        "--min-reuse", type=float, default=0.0,
-        help="with --strategy: fail (exit 3) if the warm run's solver-call "
-             "reduction vs cold is below this ratio (default 0 = report only)",
+        help="benchmark the joint strategy × bandwidth search (cells per "
+             "second, every cell's certificate audited), writes "
+             "BENCH_strategy.json",
     )
     bench.add_argument(
         "--probes", type=int, default=200,
@@ -401,9 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget axis entry for --sweep, GB/s (repeatable)",
     )
     bench.add_argument(
-        "--min-speedup", type=float, default=0.0,
-        help="with --sweep: fail (exit 3) if warm/cold speedup is below "
-             "this floor (default 0 = report only)",
+        "--min-cells-per-s", type=float, default=0.0,
+        help="with --sweep or --strategy: fail (exit 3) if the grid solves "
+             "fewer cells per second than this floor (default 0 = report "
+             "only)",
     )
     bench.add_argument(
         "--output", default=None, metavar="FILE",
@@ -854,8 +847,6 @@ def _cmd_costrategy(args: argparse.Namespace) -> int:
         f"\ncells: {diag.get('cells', 0)} "
         f"(solved {diag.get('solved', 0)}, cached {diag.get('cached', 0)}, "
         f"errors {diag.get('errors', 0)}); "
-        f"warm-start hit rate {diag.get('warm_hit_rate', 0.0):.0%} "
-        f"({diag.get('cross_warm_accepted', 0)} across strategies); "
         f"pareto cells: {len(frontier.pareto)}"
     )
     return 0
@@ -979,19 +970,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         tracer = Tracer()
         with use_tracer(tracer):
             sweep = run_sweep(
-                spec,
-                cache=cache,
-                workers=args.workers,
-                continuation=not args.no_continuation,
-                on_event=on_event,
+                spec, cache=cache, workers=args.workers, on_event=on_event
             )
     else:
         sweep = run_sweep(
-            spec,
-            cache=cache,
-            workers=args.workers,
-            continuation=not args.no_continuation,
-            on_event=on_event,
+            spec, cache=cache, workers=args.workers, on_event=on_event
         )
 
     print(
@@ -1129,6 +1112,33 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_grid_bench(args, run, report, config, output: str) -> int:
+    """Run the sweep or strategy benchmark, write its artifact and apply
+    the ``--min-cells-per-s`` floor."""
+    from repro.perfbench import write_artifact
+    from repro.perfbench.harness import BenchEquivalenceError
+
+    try:
+        artifact = run(config)
+    except BenchEquivalenceError as exc:
+        # A cell that fails its audit is the one failure CI must catch; no
+        # artifact is written because the timings cannot be trusted.
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    print(report(artifact))
+    write_artifact(output, artifact)
+    print(f"wrote {output}")
+    floor = args.min_cells_per_s
+    if floor > 0 and artifact["cells_per_s"] < floor:
+        print(
+            f"error: {artifact['cells_per_s']:.1f} cells/s is below the "
+            f"{floor:g} cells/s floor",
+            file=sys.stderr,
+        )
+        return 3
+    return 0
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.perfbench import (
         AnalyzeBenchConfig,
@@ -1167,28 +1177,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 budgets_gbps=tuple(args.bw) or defaults.budgets_gbps,
                 repeats=args.repeats,
             )
-        output = args.output or "BENCH_strategy.json"
-        try:
-            artifact = run_strategy_benchmark(config)
-        except BenchEquivalenceError as exc:
-            # Warm results that drift from the cold path are the one
-            # failure CI must catch; no artifact is written because the
-            # timings cannot be trusted.
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        print(format_strategy_report(artifact))
-        write_artifact(output, artifact)
-        print(f"wrote {output}")
-        reduction = artifact["breakdown"]["start_reduction"]
-        if args.min_reuse > 0 and reduction < args.min_reuse:
-            print(
-                f"error: warm-start reuse cut only {reduction:.1%} of the "
-                f"cold baseline's solver starts, below the "
-                f"{args.min_reuse:.1%} floor",
-                file=sys.stderr,
-            )
-            return 3
-        return 0
+        return _run_grid_bench(
+            args, run_strategy_benchmark, format_strategy_report, config,
+            args.output or "BENCH_strategy.json",
+        )
 
     if args.analyze:
         if args.quick:
@@ -1228,26 +1220,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 budgets_gbps=tuple(args.bw) or defaults.budgets_gbps,
                 repeats=args.repeats,
             )
-        output = args.output or "BENCH_sweep.json"
-        try:
-            artifact = run_sweep_benchmark(config)
-        except BenchEquivalenceError as exc:
-            # Warm results that drift from the cold path are the one
-            # failure CI must catch; no artifact is written because the
-            # timings cannot be trusted.
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        print(format_sweep_report(artifact))
-        write_artifact(output, artifact)
-        print(f"wrote {output}")
-        if args.min_speedup > 0 and artifact["speedup"] < args.min_speedup:
-            print(
-                f"error: sweep speedup {artifact['speedup']:.2f}x below "
-                f"the {args.min_speedup:g}x floor",
-                file=sys.stderr,
-            )
-            return 3
-        return 0
+        return _run_grid_bench(
+            args, run_sweep_benchmark, format_sweep_report, config,
+            args.output or "BENCH_sweep.json",
+        )
 
     if args.quick:
         config = quick_config()
@@ -1450,11 +1426,9 @@ def _print_batch_response(response, as_json: bool) -> int:
             else f"{result.step_time_ms:.3f} ms, ${result.network_cost:,.0f}"
         )
         print(f"{point.label():<55} {status}")
-    diagnostics = response.diagnostics or {}
     print(
         f"cells: {len(sweep.results)}, cache hits: {sweep.cache_hits}, "
         f"solver calls: {sweep.solver_calls}, "
-        f"warm hit rate: {diagnostics.get('warm_hit_rate', 0.0):.1%}, "
         f"errors: {sweep.num_errors}"
     )
     return 2 if sweep.results and sweep.num_errors == len(sweep.results) else 0

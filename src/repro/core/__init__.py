@@ -28,7 +28,7 @@ from repro.training.expr import (
 )
 from repro.core.framework import Libra
 from repro.core.group import GroupStudyResult, run_group_study
-from repro.core.kernel import HAS_FAST_SLSQP, ConstraintBlocks, KernelResult
+from repro.core.kernel import ConstraintBlocks
 from repro.core.results import DesignPoint, Scheme
 from repro.core.sensitivity import (
     OptimalityCertificate,
@@ -43,11 +43,11 @@ from repro.core.solver import (
     CompiledProgram,
     SolverResult,
     build_constraint_blocks,
-    build_seeds,
     clear_solver_caches,
     compile_expression,
     minimize_time_cost_product,
     minimize_training_time,
+    perspective_program,
     traffic_totals,
 )
 
@@ -76,16 +76,14 @@ __all__ = [
     "Scheme",
     "CompiledProgram",
     "ConstraintBlocks",
-    "HAS_FAST_SLSQP",
-    "KernelResult",
     "SolverResult",
     "VectorEvaluator",
     "build_constraint_blocks",
-    "build_seeds",
     "clear_solver_caches",
     "compile_expression",
     "minimize_time_cost_product",
     "minimize_training_time",
+    "perspective_program",
     "traffic_totals",
     "vector_evaluator",
 ]

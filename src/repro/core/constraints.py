@@ -367,11 +367,11 @@ class ConstraintSet:
     def find_feasible_point(self) -> np.ndarray:
         """A strictly feasible bandwidth vector, via linear programming.
 
-        Used to seed the nonlinear solver when the constraint set is more
-        intricate than a single budget row. The LP is memoized on its exact
-        content (:func:`feasible_point`), so every set with the same bounds
-        and rows — the PerfPerCost warm start, the other scheme or strategy
-        at the same budget — pays for HiGHS once.
+        No solver path calls it any more (the interior-point start uses
+        :meth:`find_interior_point`); ``e2ebench/layers.py`` still wraps it
+        (line 159). The LP is memoized on its exact content
+        (:func:`feasible_point`), so every set with the same bounds and
+        rows pays for HiGHS once.
         """
         rows = tuple((row.coeffs, row.lower, row.upper) for row in self.rows)
         return feasible_point(

@@ -175,22 +175,16 @@ class Libra:
         self,
         scheme: Scheme,
         constraints: ConstraintSet,
-        warm_start: Sequence[float] | None = None,
-        max_starts: int | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> DesignPoint:
         """Run one optimization scheme under the given constraints.
 
-        ``warm_start`` (bytes/s) is a prior optimum used as a continuation
-        seed and ``max_starts`` caps the multi-start family; both apply to
-        PerfPerCostOptBW only, as a PerfOptBW answer is one interior-point
-        run that depends on the problem alone. ``should_stop`` is the
-        solver's cooperative cancellation predicate.
+        Each scheme is one certified interior-point run whose answer
+        depends on the problem alone. ``should_stop`` is the solver's
+        cooperative cancellation predicate.
         """
         point, _ = self.optimize_result(
-            scheme, constraints,
-            warm_start=warm_start, max_starts=max_starts,
-            should_stop=should_stop,
+            scheme, constraints, should_stop=should_stop
         )
         return point
 
@@ -198,15 +192,13 @@ class Libra:
         self,
         scheme: Scheme,
         constraints: ConstraintSet,
-        warm_start: Sequence[float] | None = None,
-        max_starts: int | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> tuple[DesignPoint, SolverResult | None]:
         """:meth:`optimize`, also returning the raw solver diagnostics.
 
         The second element is ``None`` for the EqualBW baseline (no solver
         runs); otherwise it is the :class:`SolverResult` whose ``starts``
-        and ``warm_start`` fields feed the service's response diagnostics.
+        field feeds the service's response diagnostics.
         """
         self._require_workloads()
         if constraints.num_dims != self.network.num_dims:
@@ -228,9 +220,7 @@ class Libra:
             rates = np.asarray(cost_rates(self.network, self.cost_model))
             rates_total = rates * self.network.num_npus
             result = minimize_time_cost_product(
-                expression, constraints, rates_total,
-                warm_start=warm_start, max_starts=max_starts,
-                should_stop=should_stop,
+                expression, constraints, rates_total, should_stop=should_stop
             )
         else:
             raise ConfigurationError(f"unknown scheme {scheme!r}")

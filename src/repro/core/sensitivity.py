@@ -25,11 +25,11 @@ preserving transfers by direct re-evaluation (the bottleneck-structure
 report reads it); it is a local probe and passes points that are not
 optimal.
 
-:func:`audit_solution` is the solver's optimality oracle. A PerfOptBW
-answer is checked against :func:`dual_bound`, the closed-form Lagrange
-dual of the epigraph program at the multipliers the solver returned: any
-multipliers give a valid lower bound on the optimum, so a small
-primal − dual gap proves the answer optimal.
+:func:`audit_solution` is the solver's optimality oracle. An answer of
+either scheme is checked against :func:`dual_bound`, the closed-form
+Lagrange dual of the program the solver ran, at the multipliers it
+returned: any multipliers give a valid lower bound on the optimum, so a
+small primal − dual gap proves the answer optimal.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from repro.core.solver import (
     SolverResult,
     build_constraint_blocks,
     compile_expression,
+    perspective_program,
 )
 from repro.training.expr import Expr
 from repro.utils.errors import ConfigurationError
@@ -399,26 +400,27 @@ def audit_solution(
     constraints: ConstraintSet,
     result: SolverResult,
     cost_rates: Sequence[float] | None = None,
-    perf_bandwidths: Sequence[float] | None = None,
 ) -> list[str]:
     """The solver's optimality oracle: checks that need no second solver.
 
-    PerfOptBW is convex and PerfPerCostOptBW bilinear, so a correct solve
-    pins the objective and its optimality, not the argmin (which is not
-    unique on a flat face). The tests and ``repro bench`` both gate on:
+    Both schemes are convex programs after compilation (PerfPerCostOptBW
+    through its perspective change of variables), so a correct solve pins
+    the objective and its optimality, not the argmin (which is not unique
+    on a flat face). The tests and ``repro bench`` both gate on:
 
     * the point is feasible at :data:`~repro.core.constraints.
       FEASIBILITY_TOLERANCE`;
     * ``result.objective`` equals direct re-evaluation at the point
       (relative :data:`REEVALUATION_RTOL`) — step time, or step time ×
       ``cost_rates · B`` for PerfPerCostOptBW;
-    * PerfOptBW (no ``cost_rates``): the re-evaluated objective is within
+    * the re-evaluated objective is within
       :data:`~repro.core.kernel.CERTIFIED_GAP` (relative) of
       :func:`dual_bound` at ``result.multipliers``, which proves it
-      optimal to that tolerance;
-    * PerfPerCostOptBW: the product is no worse than at the EqualBW split
-      (when it is feasible) and, when given, at ``perf_bandwidths`` — the
-      PerfOptBW answer of the same problem.
+      optimal to that tolerance. The bound is taken over the program the
+      solver ran: :func:`~repro.core.solver.build_constraint_blocks` for
+      PerfOptBW; for PerfPerCostOptBW the perspective program
+      (:func:`~repro.core.solver.perspective_program`), whose bound on
+      ``T'`` times its cost scale ``G`` bounds time × cost.
 
     Args:
         expression: Symbolic step time the point was solved for.
@@ -426,55 +428,37 @@ def audit_solution(
         result: The solver's answer.
         cost_rates: ``$ per (byte/s)`` per dimension for a
             PerfPerCostOptBW answer; ``None`` audits a PerfOptBW answer.
-        perf_bandwidths: PerfOptBW answer to compare a PerfPerCostOptBW
-            answer against, bytes/s.
 
     Returns:
         One message per failed check; an empty list passes.
     """
     point = _validated_point(result.bandwidths)
-    rates = None if cost_rates is None else np.asarray(cost_rates, dtype=float)
-
-    def value_at(bandwidths: np.ndarray) -> float:
-        step_time = float(expression.evaluate(bandwidths))
-        return step_time if rates is None else step_time * float(rates @ bandwidths)
-
+    direct = float(expression.evaluate(point))
+    if cost_rates is not None:
+        direct *= float(np.asarray(cost_rates, dtype=float) @ point)
     faults = [
         f"infeasible: {message}"
         for message in constraints.violations(point, FEASIBILITY_TOLERANCE)
     ]
-    direct = value_at(point)
     if abs(result.objective - direct) > REEVALUATION_RTOL * abs(direct):
         faults.append(
             f"reported objective {result.objective!r} differs from its "
             f"re-evaluation {direct!r}"
         )
-    if rates is None:
-        if not result.multipliers:
-            faults.append("not certified: the result carries no multipliers")
-            return faults
-        program = compile_expression(expression, constraints.num_dims)
-        bound = dual_bound(
-            build_constraint_blocks(program, constraints), result.multipliers
-        )
-        if direct - bound > CERTIFIED_GAP * abs(direct):
-            faults.append(
-                f"not certified: objective {direct!r} is "
-                f"{(direct - bound) / abs(direct):.3e} above its dual bound "
-                f"{bound!r}"
-            )
+    if not result.multipliers:
+        faults.append("not certified: the result carries no multipliers")
         return faults
-    references = {}
-    if constraints.total_bandwidth is not None:
-        equal = constraints.equal_split()
-        if constraints.is_feasible(equal, FEASIBILITY_TOLERANCE):
-            references["the EqualBW split"] = equal
-    if perf_bandwidths is not None:
-        references["the PerfOptBW point"] = np.asarray(perf_bandwidths, dtype=float)
-    for name, reference in references.items():
-        bound = value_at(reference)
-        if direct > bound * (1.0 + REEVALUATION_RTOL):
-            faults.append(
-                f"time x cost {direct!r} is worse than {bound!r} at {name}"
-            )
+    if cost_rates is None:
+        program = compile_expression(expression, constraints.num_dims)
+        blocks, scale = build_constraint_blocks(program, constraints), 1.0
+    else:
+        perspective = perspective_program(expression, constraints, cost_rates)
+        blocks, scale = perspective.blocks, perspective.scale
+    bound = scale * dual_bound(blocks, result.multipliers)
+    if direct - bound > CERTIFIED_GAP * abs(direct):
+        faults.append(
+            f"not certified: objective {direct!r} is "
+            f"{(direct - bound) / abs(direct):.3e} above its dual bound "
+            f"{bound!r}"
+        )
     return faults

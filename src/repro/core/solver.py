@@ -1,7 +1,7 @@
 """Constrained bandwidth optimizer (Sec. IV-E, IV-F).
 
 The paper drives a commercial QP solver (Gurobi); this module implements the
-same optimization with numpy and scipy, in three layers:
+same optimization with numpy, in three layers:
 
 1. **Epigraph compilation** — the symbolic training-time expression
    (:mod:`repro.training.expr`) is compiled so every ``max`` node becomes an
@@ -16,44 +16,40 @@ same optimization with numpy and scipy, in three layers:
    :func:`minimize_training_time` runs the primal–dual interior-point
    kernel (:func:`repro.core.kernel.interior_point`) once, from one
    interior start (:func:`interior_start`), with variables scaled to GB/s.
-   There is no seed family, multi-start or warm start, so an answer
-   depends only on the expression and the constraint set. The result
-   carries the run's Lagrange multipliers and its certified primal–dual
-   gap.
+   The result carries the run's Lagrange multipliers and its certified
+   primal–dual gap.
 
-3. **PerfPerCostOptBW: multi-start SLSQP** — time × cost is bilinear (the
-   same nonconvexity Gurobi's QP handles); deterministic multi-start from
-   the seed family (:func:`build_seeds`, plus a two-start SLSQP PerfOpt
-   solve) recovers the global design point in practice, and the result
-   records which start won. Each start is one SLSQP run with analytic
-   gradients through :func:`repro.core.kernel.minimize_slsqp`; a longer,
-   looser re-run is the fallback when a run fails without stalling.
+3. **PerfPerCostOptBW: the same kernel on a perspective program** — time ×
+   cost is bilinear in ``B``, but every step-time term is a ``Const``
+   (degree 0 in ``B``) or a ``CommTerm`` (degree −1) under non-negative
+   ``Sum`` weights and ``max``. The Charnes–Cooper change of variables
+   ``y = B·G/(r·B)``, ``u = S·G/(r·B)`` (so ``B = y·S/u``) turns
+   ``T(B)·(r·B)`` into ``G·T'(y, u)``, where ``T'`` is ``T`` with every
+   ``Const k`` replaced by the collective ``k·S / u`` on one extra
+   dimension (:func:`perspective_expression`). ``T'`` is a PerfOpt-shaped
+   convex expression; the normalization ``r·y = G`` and the designer rows,
+   homogenized in ``u``, are linear (:func:`perspective_program`). So
+   :func:`minimize_time_cost_product` is one run of the same kernel with
+   the same certificate.
 
-Both schemes share one compiled program and one set of stacked
-matrix-form constraint blocks (:func:`build_constraint_blocks`). Answers
-are checked without a second solver: the returned objective is a direct
-re-evaluation of the expression, and
+Each scheme is one kernel run from one deterministic start, so an answer
+depends only on the expression, the constraint set and the cost rates.
+Both share one compiled-program form and one matrix-form constraint-block
+builder. Answers are checked without a second solver: the returned
+objective is a direct re-evaluation of the expression, and
 :func:`repro.core.sensitivity.audit_solution` is the optimality oracle the
-tests and ``repro bench`` share (for PerfOptBW, a dual bound re-derived
-from the returned multipliers).
+tests and ``repro bench`` share (a dual bound re-derived from the returned
+multipliers, for both schemes).
 
 A memoization tier keyed on the frozen expression —
-:func:`compile_expression`, :func:`traffic_totals`, and (in
-:mod:`repro.training.expr`) ``simplify`` / ``vector_evaluator`` — makes
-repeat solves over one workload (budget sweeps, both schemes) skip all
-tree work, and the feasibility LPs are memoized on their content
-(:func:`repro.core.constraints.feasible_point`), so every cell of one
-budget pays for HiGHS once. :func:`clear_solver_caches` resets every tier
-(used by benchmarks for cold-path timing).
-
-**Continuation solving (PerfPerCostOptBW)** — :func:`minimize_time_cost_product`
-accepts ``warm_start``: a prior optimum (e.g. the neighboring cell of a
-budget sweep). The warm point is projected onto the new feasible region
-(budget-rescaled, box-clipped) and solved first; the full multi-start
-family then runs *only* when that warm run's achieved objective drifts
-past :data:`WARM_TRUST_RTOL` relative to the best raw seed evaluation (the
-adaptive fan-out that keeps correctness from silently degrading).
-``warm_start=None`` is the cold path and stays the default everywhere.
+:func:`compile_expression`, :func:`perspective_expression`,
+:func:`traffic_totals`, and (in :mod:`repro.training.expr`) ``simplify`` /
+``vector_evaluator`` — makes repeat solves over one workload (budget
+sweeps, both schemes) skip all tree work, and the max-slack LP of a start
+is memoized on its content (:func:`repro.core.constraints.feasible_point`),
+so each distinct constraint set that needs one pays for HiGHS once.
+:func:`clear_solver_caches` resets every tier (used by benchmarks for
+cold-path timing).
 """
 
 from __future__ import annotations
@@ -61,12 +57,13 @@ from __future__ import annotations
 import functools
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from repro.core.constraints import (
+    DEFAULT_MAX_BANDWIDTH,
     FEASIBILITY_TOLERANCE,
     ConstraintSet,
     feasible_point,
@@ -75,7 +72,6 @@ from repro.core.kernel import (
     CERTIFIED_GAP,
     ConstraintBlocks,
     interior_point,
-    minimize_slsqp,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
@@ -95,24 +91,32 @@ from repro.utils.units import GBPS
 #: Internal bandwidth unit (GB/s) — keeps decision variables O(1)–O(1000).
 _SCALE = GBPS
 
-#: Relative objective drift past which a warm-started PerfPerCostOptBW
-#: solve is distrusted.
-#: A warm run is accepted only when it converged (or stopped on a
-#: line-search stall of the same trajectory), its iterate is feasible, and
-#: its *true* (re-evaluated) objective is within this factor of the best
-#: raw seed evaluation; otherwise the full multi-start family runs with
-#: the warm run's result kept as one more candidate. The
-#: documented continuation tolerance: accepted warm results match the cold
-#: path's objective within ~1e-2 relative in practice, and never sit above
-#: the seed family's own evaluations by more than this threshold.
-WARM_TRUST_RTOL = 1e-4
-
-#: Seed-family truncation of PerfPerCostOptBW's internal SLSQP PerfOpt
-#: solve (:func:`_perf_seed`).
-DEFAULT_PERF_WARM_STARTS = 2
-
 #: Relative margin above tight of the interior-point start's aux values.
 START_AUX_MARGIN = 0.01
+
+#: Relative room a budget-only start keeps from every box side; a start
+#: any closer takes the max-slack LP point instead.
+_BOX_MARGIN = 1e-6
+
+#: The perspective program's bandwidth scale ``S`` (bytes/s): ``B = y·S/u``
+#: and the start has ``u = S``. Any positive constant works; a fixed one
+#: keeps answers content-pure.
+PERSPECTIVE_SCALE = 100 * GBPS
+
+#: Shares of the way to the start an answer may move to clear a designer
+#: row it misses by round-off (see ``_result``).
+_ROUND_OFF_PULLS = (1e-12, 1e-10, 1e-8)
+
+#: Relative widening of the perspective program's implied cost range, so
+#: a start on its edge (equal rates under a budget equality) stays strictly
+#: inside the implied boxes.
+_IMPLIED_MARGIN = 1e-3
+
+# Placeholders for lookup sites that e2ebench/layers.py still wraps
+# (line 156: ``build_seeds``, line 165: ``minimize_slsqp``); nothing calls
+# them since the multi-start SLSQP solver was removed.
+build_seeds = None
+minimize_slsqp = None
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +277,9 @@ class CompiledProgram:
 def compile_expression(expr: Expr, num_dims: int) -> CompiledProgram:
     """Compile ``expr`` into epigraph form over ``num_dims`` bandwidths.
 
-    Memoized on ``(expr, num_dims)``: ``PerfPerCostOptBW`` warm-starting
-    through ``PerfOptBW`` and sweeps revisiting one workload reuse the
-    compiled program instead of re-walking the tree.
+    Memoized on ``(expr, num_dims)``: both schemes of one cell and sweeps
+    revisiting one workload reuse the compiled program instead of
+    re-walking the tree.
     """
     expr = simplify(expr)
     if expr.max_dim() >= num_dims:
@@ -339,7 +343,7 @@ def compile_expression(expr: Expr, num_dims: int) -> CompiledProgram:
 
 
 # ---------------------------------------------------------------------------
-# Seeds
+# Starts
 # ---------------------------------------------------------------------------
 
 
@@ -347,9 +351,9 @@ def compile_expression(expr: Expr, num_dims: int) -> CompiledProgram:
 def traffic_totals(expr: Expr, num_dims: int) -> np.ndarray:
     """Aggregate collective traffic per dimension (bytes), tree-wide.
 
-    The water-filling seed allocates bandwidth proportionally to this — the
-    exact optimum for a single collective under a pure budget constraint,
-    and an excellent starting point otherwise.
+    The interior start allocates bandwidth mostly in proportion to this —
+    the exact optimum for a single collective under a pure budget
+    constraint, and a well-centred start otherwise.
 
     Memoized on ``(expr, num_dims)``; the returned array is marked
     read-only because it is shared between callers.
@@ -401,58 +405,6 @@ def _proportional_split(
     return point
 
 
-def _seed_close(a: Sequence[float], b: Sequence[float]) -> bool:
-    """``np.allclose(a, b, rtol=1e-6)`` for finite vectors of one length.
-
-    For finite values numpy's rule is exactly this scalar test, which costs
-    far less than an ``allclose`` call on vectors this short.
-    """
-    return all(abs(x - y) <= 1e-8 + 1e-6 * abs(y) for x, y in zip(a, b))
-
-
-def build_seeds(
-    expr: Expr,
-    constraints: ConstraintSet,
-    cost_rates: Sequence[float] | None = None,
-) -> list[np.ndarray]:
-    """Deterministic multi-start seed family (bytes/s)."""
-    seeds: list[np.ndarray] = []
-    kept: list[list[float]] = []
-
-    def push(point: np.ndarray | None) -> None:
-        if point is None:
-            return
-        values = point.tolist()
-        if any(_seed_close(existing, values) for existing in kept):
-            return
-        seeds.append(point)
-        kept.append(values)
-
-    totals = traffic_totals(expr, constraints.num_dims)
-    if constraints.total_bandwidth is not None:
-        push(constraints.equal_split())
-        proportional = _proportional_split(totals, constraints)
-        push(proportional)
-        if cost_rates is not None and np.any(totals > 0):
-            rates = np.asarray(cost_rates, dtype=float)
-            value_density = np.divide(
-                totals, np.maximum(rates, 1e-30), out=np.zeros(totals.shape),
-                where=rates > 0,
-            )
-            push(_proportional_split(value_density, constraints))
-        # Mild skews of the proportional seed to escape flat regions.
-        if proportional is not None:
-            for exponent in (0.5, 2.0):
-                push(_proportional_split(proportional ** exponent, constraints))
-    try:
-        push(constraints.find_feasible_point())
-    except OptimizationError:
-        pass
-    if not seeds:
-        raise OptimizationError("no feasible seed point found for the constraint set")
-    return seeds
-
-
 def interior_start(expr: Expr, constraints: ConstraintSet) -> np.ndarray:
     """The interior-point run's start bandwidths (bytes/s).
 
@@ -473,38 +425,16 @@ def interior_start(expr: Expr, constraints: ConstraintSet) -> np.ndarray:
             traffic_totals(expr, constraints.num_dims), constraints
         )
         point = 0.1 * equal + 0.9 * (equal if proportional is None else proportional)
-        if np.all(point > constraints.lower_bounds) and np.all(
-            point < constraints.upper_bounds
+        lower, upper = constraints.lower_bounds, constraints.upper_bounds
+        if np.all(point - lower > _BOX_MARGIN * point) and np.all(
+            upper - point > _BOX_MARGIN * point
         ):
             return point
     return constraints.find_interior_point()
 
 
-def project_warm_start(
-    warm_start: Sequence[float], constraints: ConstraintSet
-) -> np.ndarray | None:
-    """Project a prior optimum onto a constraint set's feasible region.
-
-    Continuation neighbors usually differ only by the budget scalar, so the
-    projection keeps the warm point's *shape*: the bandwidth shares are
-    redistributed onto the new budget and clipped into the box bounds
-    (general linear rows are left to SLSQP, exactly as for the cold seed
-    family). Returns ``None`` when the point cannot seed this set — wrong
-    dimensionality, non-finite, or all-zero — which callers treat as
-    "fall back to cold".
-    """
-    point = np.asarray(warm_start, dtype=float)
-    if point.shape != (constraints.num_dims,):
-        return None
-    if not np.all(np.isfinite(point)) or np.sum(np.maximum(point, 0.0)) <= 0:
-        return None
-    if constraints.total_bandwidth is not None:
-        return _proportional_split(point, constraints)
-    return np.clip(point, constraints.lower_bounds, constraints.upper_bounds)
-
-
 # ---------------------------------------------------------------------------
-# Solve
+# Programs
 # ---------------------------------------------------------------------------
 
 
@@ -515,27 +445,19 @@ class SolverResult:
     Attributes:
         bandwidths: Optimal per-dimension bandwidths, bytes/s.
         objective: Final objective value (seconds for PerfOpt; seconds ×
-            dollars for PerfPerCost).
-        success: PerfOpt: the certified gap is at most
-            :data:`~repro.core.kernel.CERTIFIED_GAP`. PerfPerCost: an SLSQP
-            run converged; when False the best feasible iterate (a
-            line-search stall point or a seed evaluation) is returned
-            instead.
-        message: Solver diagnostics (the interior-point status, or which
-            start won and the fallbacks used).
-        starts: Number of runs: 1 for PerfOpt, the seed points tried for
-            PerfPerCost.
-        warm_start: PerfPerCost continuation diagnostics — empty for cold
-            solves (and always for PerfOpt), ``"accepted"`` when the warm
-            run passed the trust check and the multi-start family was
-            skipped, ``"rejected:<reason>"`` when the solve fell back to
-            the full fan-out.
-        gap: PerfOpt: the certified relative primal–dual gap,
-            ``(primal − dual) / primal``; ``None`` for PerfPerCost.
-        multipliers: PerfOpt: the Lagrange multipliers that certify the
-            gap, one per row of the problem's constraint blocks
-            (:func:`build_constraint_blocks`) in block row order; empty
-            for PerfPerCost and for bandwidth-independent objectives.
+            dollars for PerfPerCost), re-evaluated at ``bandwidths``.
+        success: The certified gap is at most
+            :data:`~repro.core.kernel.CERTIFIED_GAP`.
+        message: The interior-point run's status.
+        starts: Number of kernel runs: always 1.
+        warm_start: Always ``""``; e2ebench/layers.py (line 71,
+            ``_solve_outcome``) still reads it.
+        gap: The certified relative primal–dual gap,
+            ``(primal − dual) / primal``.
+        multipliers: The Lagrange multipliers that certify the gap, one
+            per row of the solved program's constraint blocks in block row
+            order: :func:`build_constraint_blocks` for PerfOpt,
+            :func:`perspective_program` for PerfPerCost.
     """
 
     bandwidths: tuple[float, ...]
@@ -548,63 +470,41 @@ class SolverResult:
     multipliers: tuple[float, ...] = ()
 
 
-def build_constraint_blocks(
-    program: CompiledProgram, constraints: ConstraintSet
+def _stack_blocks(
+    program: CompiledProgram,
+    equalities: list[tuple[np.ndarray, float]],
+    inequalities: list[tuple[np.ndarray, float]],
+    lower: np.ndarray,
+    upper: np.ndarray,
 ) -> ConstraintBlocks:
-    """Stack the program + designer rows into vectorized constraint blocks.
+    """Blocks of ``program`` under linear rows over its leading dimensions.
 
-    Built **once** per solve and shared by the interior-point run, every
-    multi-start seed and PerfPerCost's inner PerfOpt solve. The blocks
-    carry the epigraph objective too. Designer rows are scaled to GB/s
-    (an equality row joins the equality block; an inequality row
-    contributes its upper side, then its lower side, to the linear block),
-    max-epigraph rows follow them in the linear block, and comm rows stay
-    hyperbolic.
+    ``equalities`` are ``(a, b)`` pairs for ``a·x = b`` and
+    ``inequalities`` pairs for ``a·x ≥ b``, with ``a`` over the program's
+    ``num_dims`` leading variables; ``lower``/``upper`` box those
+    variables. The max-epigraph rows follow the designer rows in the
+    linear block, and the comm rows stay hyperbolic.
     """
     num_dims = program.num_dims
     num_vars = num_dims + program.num_aux
-
-    eq_rows: list[np.ndarray] = []
-    eq_shift: list[float] = []
-    lin_rows: list[np.ndarray] = []
-    lin_shift: list[float] = []
-    for row in constraints.rows:
-        coeffs = np.zeros(num_vars)
-        coeffs[:num_dims] = row.coeffs
-        if row.is_equality:
-            eq_rows.append(coeffs)
-            eq_shift.append(float(row.lower) / _SCALE)  # type: ignore[arg-type]
-            continue
-        if row.upper is not None:
-            lin_rows.append(-coeffs)
-            lin_shift.append(-row.upper / _SCALE)
-        if row.lower is not None:
-            lin_rows.append(coeffs)
-            lin_shift.append(row.lower / _SCALE)
-    for max_row in program.max_constraints:
-        coeffs = np.zeros(num_vars)
-        coeffs[num_dims + max_row.aux] = 1.0
+    a_eq = np.zeros((len(equalities), num_vars))
+    for index, (coeffs, _) in enumerate(equalities):
+        a_eq[index, :num_dims] = coeffs
+    a_in = np.zeros((len(inequalities) + len(program.max_constraints), num_vars))
+    b_in = [shift for _, shift in inequalities]
+    for index, (coeffs, _) in enumerate(inequalities):
+        a_in[index, :num_dims] = coeffs
+    for index, max_row in enumerate(program.max_constraints, len(inequalities)):
+        a_in[index, num_dims + max_row.aux] = 1.0
         for aux, weight in max_row.aux_weights:
-            coeffs[num_dims + aux] -= weight
-        lin_rows.append(coeffs)
-        lin_shift.append(max_row.const)
-
-    lower = np.concatenate(
-        [constraints.lower_bounds / _SCALE, np.zeros(program.num_aux)]
-    )
-    upper = np.concatenate(
-        [constraints.upper_bounds / _SCALE, np.full(program.num_aux, np.inf)]
-    )
+            a_in[index, num_dims + aux] -= weight
+        b_in.append(max_row.const)
     return ConstraintBlocks(
         num_vars=num_vars,
-        a_eq=(
-            np.asarray(eq_rows) if eq_rows else np.zeros((0, num_vars))
-        ),
-        b_eq=np.asarray(eq_shift, dtype=float),
-        a_in=(
-            np.asarray(lin_rows) if lin_rows else np.zeros((0, num_vars))
-        ),
-        b_in=np.asarray(lin_shift, dtype=float),
+        a_eq=a_eq,
+        b_eq=np.asarray([shift for _, shift in equalities], dtype=float),
+        a_in=a_in,
+        b_in=np.asarray(b_in, dtype=float),
         comm_aux=np.asarray(
             [num_dims + row.aux for row in program.comm_constraints],
             dtype=np.intp,
@@ -615,195 +515,184 @@ def build_constraint_blocks(
         comm_coeff=np.asarray(
             [row.coeff for row in program.comm_constraints], dtype=float
         ),
-        lower=lower,
-        upper=upper,
+        lower=np.concatenate([lower, np.zeros(program.num_aux)]),
+        upper=np.concatenate([upper, np.full(program.num_aux, np.inf)]),
         num_dims=num_dims,
         cost=np.concatenate([np.zeros(num_dims), program.objective_weights]),
         cost_const=program.objective_const,
     )
 
 
-def _solve_from_seed(
-    program: CompiledProgram,
-    blocks: ConstraintBlocks,
-    objective: Callable[[np.ndarray], float],
-    objective_grad: Callable[[np.ndarray], np.ndarray],
-    seed: np.ndarray,
-) -> tuple[np.ndarray, float, bool, str]:
-    """One SLSQP run (long-retry fallback) from one bandwidth seed."""
-    tracer = obs_trace.get_tracer()
-    if tracer is obs_trace.NULL_TRACER:
-        return _solve_from_seed_impl(
-            program, blocks, objective, objective_grad, seed
-        )
-    with tracer.span("solve.seed") as span:
-        result = _solve_from_seed_impl(
-            program, blocks, objective, objective_grad, seed
-        )
-        span.set("converged", result[2])
-        span.set("path", result[3])
-        return result
+def build_constraint_blocks(
+    program: CompiledProgram, constraints: ConstraintSet
+) -> ConstraintBlocks:
+    """The PerfOptBW program: the compiled expression under the designer set.
 
-
-def _solve_from_seed_impl(
-    program: CompiledProgram,
-    blocks: ConstraintBlocks,
-    objective: Callable[[np.ndarray], float],
-    objective_grad: Callable[[np.ndarray], np.ndarray],
-    seed: np.ndarray,
-) -> tuple[np.ndarray, float, bool, str]:
-    seed_scaled = seed / _SCALE
-    x0 = np.concatenate([seed_scaled, program.initial_aux(seed_scaled) * 1.0001])
-
-    result = minimize_slsqp(
-        objective, objective_grad, x0, blocks, maxiter=400, ftol=1e-12
-    )
-    if result.success:
-        return result.x, result.fun, True, "slsqp"
-    if result.status == 8:
-        # "Positive directional derivative for linesearch": the line search
-        # hit machine precision. SLSQP's iterate path does not depend on
-        # ftol (it only gates the stopping tests), so the looser re-solve
-        # below would stop at an *earlier* point of this same trajectory —
-        # the stall iterate is already at least as optimized. Keep it as a
-        # candidate; `_finish` re-checks feasibility and true value.
-        return result.x, result.fun, False, f"stalled: {result.message}"
-    fallback = minimize_slsqp(
-        objective, objective_grad, x0, blocks, maxiter=1500, ftol=1e-10
-    )
-    if fallback.success:
-        return fallback.x, fallback.fun, True, "slsqp-long"
-    return result.x, result.fun, False, f"failed: {result.message}"
-
-
-def _finish(
-    program: CompiledProgram,
-    constraints: ConstraintSet,
-    evaluate_true: Callable[[np.ndarray], float],
-    candidates: list[tuple[np.ndarray, float, bool, str]],
-    starts: int,
-) -> SolverResult:
-    """Pick the best feasible candidate and re-evaluate the true objective."""
-    best: tuple[np.ndarray, float, bool, str] | None = None
-    for x, value, success, message in candidates:
-        bandwidths = np.maximum(x[: program.num_dims] * _SCALE, 0.0)
-        if not constraints.is_feasible(bandwidths, FEASIBILITY_TOLERANCE):
-            continue
-        true_value = evaluate_true(bandwidths)
-        if best is None or true_value < best[1]:
-            best = (bandwidths, true_value, success, message)
-    if best is None:
-        raise OptimizationError(
-            "no solver run produced a feasible design point "
-            f"(tried {starts} starts)"
-        )
-    bandwidths, value, success, message = best
-    return SolverResult(
-        bandwidths=tuple(float(b) for b in bandwidths),
-        objective=value,
-        success=success,
-        message=message,
-        starts=starts,
-    )
-
-
-def _seed_fallbacks(
-    program: CompiledProgram,
-    seeds: Sequence[np.ndarray],
-    value_at: Callable[[np.ndarray], float],
-) -> list[tuple[np.ndarray, float, bool, str]]:
-    """Feasible tight-aux candidates at every seed (the no-solve floor)."""
-    fallbacks = []
-    for seed in seeds:
-        scaled = seed / _SCALE
-        x = np.concatenate([scaled, program.initial_aux(scaled)])
-        fallbacks.append((x, value_at(x), False, "seed"))
-    return fallbacks
-
-
-def _try_warm(
-    program: CompiledProgram,
-    constraints: ConstraintSet,
-    objective: Callable[[np.ndarray], float],
-    objective_grad: Callable[[np.ndarray], np.ndarray],
-    evaluate_true: Callable[[np.ndarray], float],
-    warm_seed: np.ndarray,
-    seeds: list[np.ndarray],
-    blocks: ConstraintBlocks,
-) -> tuple[tuple[np.ndarray, float, bool, str], str]:
-    """One SLSQP run from the projected warm point, trust-checked.
-
-    Returns ``(candidate, "")`` when the run is trustworthy: it either
-    converged or stopped on a line-search stall (a point of the same
-    iterate trajectory — see :func:`_solve_from_seed`), its iterate is
-    feasible, and its *re-evaluated* objective is no worse (within
-    :data:`WARM_TRUST_RTOL`, read at call time) than the tightest cheap
-    floor available — the best raw
-    seed evaluation *and* the projected warm seed's own evaluation, so an
-    SLSQP run that wanders into a stale basin below its feasible starting
-    point is rejected. Returns ``(candidate, reason)`` when the caller
-    must fan out cold; the candidate is still returned so the fallback
-    can pool it instead of re-running the identical deterministic solve.
-
-    This floor is deliberately evaluation-only: the cold PerfPerCost
-    path's PerfOpt-anchored guarantee would cost the inner solve that
-    continuation exists to skip. The residual risk — a basin shift the
-    floor cannot see — is bounded by the documented continuation
-    tolerance and measured by the sweep benchmark's per-cell gate.
+    Designer rows are scaled to GB/s: an equality row joins the equality
+    block; an inequality row contributes its upper side, then its lower
+    side, to the linear block.
     """
-    tracer = obs_trace.get_tracer()
-    if tracer is obs_trace.NULL_TRACER:
-        return _try_warm_impl(
-            program, constraints, objective, objective_grad,
-            evaluate_true, warm_seed, seeds, blocks,
-        )
-    with tracer.span("solve.warm_trust") as span:
-        candidate, reason = _try_warm_impl(
-            program, constraints, objective, objective_grad,
-            evaluate_true, warm_seed, seeds, blocks,
-        )
-        span.set("accepted", not reason)
-        if reason:
-            span.set("reason", reason)
-        return candidate, reason
+    equalities = []
+    inequalities = []
+    for row in constraints.rows:
+        coeffs = np.asarray(row.coeffs, dtype=float)
+        if row.is_equality:
+            equalities.append((coeffs, float(row.lower) / _SCALE))
+            continue
+        if row.upper is not None:
+            inequalities.append((-coeffs, -row.upper / _SCALE))
+        if row.lower is not None:
+            inequalities.append((coeffs, row.lower / _SCALE))
+    return _stack_blocks(
+        program, equalities, inequalities,
+        constraints.lower_bounds / _SCALE, constraints.upper_bounds / _SCALE,
+    )
 
 
-def _try_warm_impl(
-    program: CompiledProgram,
-    constraints: ConstraintSet,
-    objective: Callable[[np.ndarray], float],
-    objective_grad: Callable[[np.ndarray], np.ndarray],
-    evaluate_true: Callable[[np.ndarray], float],
-    warm_seed: np.ndarray,
-    seeds: list[np.ndarray],
-    blocks: ConstraintBlocks,
-) -> tuple[tuple[np.ndarray, float, bool, str], str]:
-    candidate = _solve_from_seed(
-        program, blocks, objective, objective_grad, warm_seed
+@lru_cache(maxsize=128)
+def perspective_expression(expr: Expr, num_dims: int) -> Expr:
+    """``T'``: ``expr`` with every ``Const k`` made the collective ``k·S/u``.
+
+    ``u`` is dimension ``num_dims`` and ``S`` is :data:`PERSPECTIVE_SCALE`.
+    Collectives keep their coefficients, so with ``B = y·S/u`` the
+    identity ``T(B)·(r·B) = (r·y)·T'(y, u)`` holds term by term.
+    Memoized on ``(expr, num_dims)``, like :func:`compile_expression`.
+    """
+
+    def visit(node: Expr) -> Expr:
+        if isinstance(node, Const):
+            if node.value == 0:
+                return node
+            return CommTerm(((num_dims, node.value * PERSPECTIVE_SCALE),))
+        if isinstance(node, Sum):
+            return Sum(tuple(visit(child) for child in node.children), node.weights)
+        if isinstance(node, MaxExpr):
+            return MaxExpr(tuple(visit(child) for child in node.children))
+        return node
+
+    return simplify(visit(simplify(expr)))
+
+
+@dataclass(frozen=True)
+class PerspectiveProgram:
+    """PerfPerCostOptBW as a PerfOpt-shaped program over ``[y, u, aux]``.
+
+    Attributes:
+        program: The compiled ``T'`` (:func:`perspective_expression`).
+        blocks: Its constraint blocks, in GB/s: the normalization row
+            ``(r / max r)·y = G / max r`` first, then the designer
+            equalities and fixed dimensions as ``a·y = (lo/S)·u``; the
+            linear block holds ``a·y ≥ (lo/S)·u`` and ``a·y ≤ (hi/S)·u``
+            for every designer row side and box side (finite designer caps
+            only), then the max rows. ``y`` and ``u`` sit in the implied
+            boxes of the cost range ``[r·lo, min(r·hi, max(r)·total)]``.
+        scale: ``G = r·B0``, the cost of the start, in dollars.
+        start: The kernel's start ``[B0, S, aux]`` in GB/s, with aux 1 %
+            above tight.
+    """
+
+    program: CompiledProgram
+    blocks: ConstraintBlocks
+    scale: float
+    start: np.ndarray
+
+    def bandwidths(self, x: np.ndarray) -> np.ndarray:
+        """``B = y·S/u`` in bytes/s at a kernel point ``x``."""
+        num_dims = self.program.num_dims - 1
+        return x[:num_dims] * (PERSPECTIVE_SCALE / x[num_dims])
+
+
+def perspective_program(
+    expr: Expr, constraints: ConstraintSet, cost_rates: Sequence[float]
+) -> PerspectiveProgram:
+    """Build the perspective program of one PerfPerCostOptBW problem.
+
+    A pure function of its arguments: ``G`` comes from the deterministic
+    :func:`interior_start`, so the solver and the auditor build the same
+    program. Raises :class:`OptimizationError` for rates that are not
+    finite and non-negative, or that price the box's lower corner at zero.
+    """
+    num_dims = constraints.num_dims
+    rates = np.asarray(cost_rates, dtype=float)
+    if rates.shape != (num_dims,):
+        raise OptimizationError(
+            f"expected {num_dims} cost rates, got {rates.shape}"
+        )
+    lower, upper = constraints.lower_bounds, constraints.upper_bounds
+    if not np.all(np.isfinite(rates)) or np.any(rates < 0):
+        raise OptimizationError(
+            f"cost rates must be finite and non-negative, got {rates}"
+        )
+    cost_min = float(rates @ lower)
+    if not cost_min > 0:
+        raise OptimizationError(
+            "cost rates price every bandwidth at zero at the box's lower corner"
+        )
+    cost_max = float(rates @ upper)
+    if constraints.total_bandwidth is not None:
+        cost_max = min(cost_max, float(rates.max()) * constraints.total_bandwidth)
+        upper = np.minimum(upper, constraints.total_bandwidth)
+    cost_min *= 1.0 - _IMPLIED_MARGIN
+    cost_max *= 1.0 + _IMPLIED_MARGIN
+
+    start = interior_start(expr, constraints)
+    scale = float(rates @ start)
+    ratio = 1.0 / PERSPECTIVE_SCALE
+
+    def row(coeffs: Sequence[float], u_coeff: float) -> np.ndarray:
+        return np.append(np.asarray(coeffs, dtype=float), u_coeff)
+
+    equalities = [(row(rates / rates.max(), 0.0), scale / rates.max() / _SCALE)]
+    inequalities = []
+    for designer in constraints.rows:
+        if designer.is_equality:
+            equalities.append((row(designer.coeffs, -designer.lower * ratio), 0.0))
+            continue
+        if designer.upper is not None:
+            inequalities.append(
+                (row(np.negative(designer.coeffs), designer.upper * ratio), 0.0)
+            )
+        if designer.lower is not None:
+            inequalities.append((row(designer.coeffs, -designer.lower * ratio), 0.0))
+    identity = np.eye(num_dims)
+    for dim in range(num_dims):
+        low, high = constraints.lower_bounds[dim], constraints.upper_bounds[dim]
+        if low == high:
+            equalities.append((row(identity[dim], -low * ratio), 0.0))
+            continue
+        inequalities.append((row(identity[dim], -low * ratio), 0.0))
+        if high < DEFAULT_MAX_BANDWIDTH:
+            inequalities.append((row(-identity[dim], high * ratio), 0.0))
+
+    program = compile_expression(
+        perspective_expression(expr, num_dims), num_dims + 1
     )
-    if not candidate[2] and not candidate[3].startswith("stalled"):
-        return candidate, "solver-failure"
-    bandwidths = np.maximum(candidate[0][: program.num_dims] * _SCALE, 0.0)
-    if not constraints.is_feasible(bandwidths, FEASIBILITY_TOLERANCE):
-        return candidate, "infeasible-iterate"
-    warm_true = evaluate_true(bandwidths)
-    floor = min(
-        min(evaluate_true(seed) for seed in seeds),
-        evaluate_true(warm_seed),
+    box_lower = np.append(lower * scale / cost_max, PERSPECTIVE_SCALE * scale / cost_max)
+    box_upper = np.append(upper * scale / cost_min, PERSPECTIVE_SCALE * scale / cost_min)
+    blocks = _stack_blocks(
+        program, equalities, inequalities, box_lower / _SCALE, box_upper / _SCALE
     )
-    if warm_true > floor * (1.0 + WARM_TRUST_RTOL):
-        return candidate, "drift"
-    return candidate, ""
+    point = np.append(start, PERSPECTIVE_SCALE) / _SCALE
+    return PerspectiveProgram(
+        program=program,
+        blocks=blocks,
+        scale=scale,
+        start=np.concatenate([point, program.initial_aux(point, START_AUX_MARGIN)]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Solve
+# ---------------------------------------------------------------------------
 
 
 def _checkpoint(should_stop: Callable[[], bool] | None, context: str) -> None:
-    """Cooperative cancellation checkpoint (between multi-start seeds).
+    """Cooperative cancellation checkpoint, polled before a kernel run.
 
-    Seeds are the natural granularity: one SLSQP run is seconds at most,
-    so a cancel request is observed promptly without polluting the kernel
-    inner loop. Raising :class:`JobCancelled` (never returning a partial
-    result) keeps the solver's contract simple — a cancelled solve
-    produced nothing.
+    One run takes milliseconds, so a cancel request is observed promptly
+    without polluting the kernel's inner loop. Raising
+    :class:`JobCancelled` (never returning a partial result) keeps the
+    solver's contract simple — a cancelled solve produced nothing.
     """
     if should_stop is not None and should_stop():
         raise JobCancelled(f"optimization cancelled {context}")
@@ -815,17 +704,11 @@ def clear_solver_caches() -> None:
     from repro.training.expr import vector_evaluator as _vector_evaluator
 
     compile_expression.cache_clear()
+    perspective_expression.cache_clear()
     traffic_totals.cache_clear()
     _simplify.cache_clear()
     _vector_evaluator.cache_clear()
     feasible_point.cache_clear()
-
-
-def _warm_label(warm_start: str) -> str:
-    """Collapse the warm diagnostic to a bounded metric label value."""
-    if not warm_start:
-        return "cold"
-    return "accepted" if warm_start == "accepted" else "rejected"
 
 
 def _observed_solve(scheme: str):
@@ -833,9 +716,7 @@ def _observed_solve(scheme: str):
 
     When both the tracer and the registry are their null singletons the
     wrapper is two global reads and a tail call — the zero-overhead
-    default the BENCH_solver floor pins. The PerfOpt solve that
-    PerfPerCost runs internally is counted as its own ``scheme="perf"``
-    solve (it goes through this same wrapper).
+    default the BENCH_solver floor pins.
     """
 
     def decorate(fn):
@@ -851,19 +732,18 @@ def _observed_solve(scheme: str):
             begin = time.perf_counter()
             with tracer.span("solve", attrs={"scheme": scheme}) as span:
                 result = fn(*args, **kwargs)
-                warm = _warm_label(result.warm_start)
-                span.set("warm", warm)
                 span.set("starts", result.starts)
                 span.set("objective", result.objective)
+                span.set("gap", result.gap)
             elapsed = time.perf_counter() - begin
             registry.counter(
                 obs_names.SOLVER_SOLVES,
-                "Solver entry-point solves by scheme and warm-start outcome.",
-                labels=("scheme", "warm"),
-            ).labels(scheme=scheme, warm=warm).inc()
+                "Solver entry-point solves by scheme.",
+                labels=("scheme",),
+            ).labels(scheme=scheme).inc()
             registry.counter(
                 obs_names.SOLVER_STARTS,
-                "Multi-start seed attempts by scheme.",
+                "Kernel runs by scheme.",
                 labels=("scheme",),
             ).labels(scheme=scheme).inc(result.starts)
             registry.histogram(
@@ -878,6 +758,81 @@ def _observed_solve(scheme: str):
     return decorate
 
 
+def _run_kernel(
+    blocks: ConstraintBlocks, x0: np.ndarray, program: CompiledProgram
+):
+    """One kernel run from ``x0``; a start that is not strictly feasible
+    means the constraint set has no interior."""
+    try:
+        return interior_point(
+            blocks, x0, lambda x: program.tight_objective(x[: program.num_dims])
+        )
+    except ValueError as exc:
+        raise OptimizationError(
+            f"no strictly feasible start for the constraint set: {exc}"
+        ) from exc
+
+
+def _result(
+    bandwidths: np.ndarray,
+    start: np.ndarray,
+    constraints: ConstraintSet,
+    objective_at: Callable[[np.ndarray], float],
+    run,
+) -> SolverResult:
+    """The run's answer, held to the designer constraint set.
+
+    The kernel's active inequality rows can end a round-off below zero,
+    and a row bounded by zero (an ordering) is checked to an absolute
+    :data:`FEASIBILITY_TOLERANCE` bytes/s. Such a point moves toward the
+    strictly feasible ``start`` by the smallest of :data:`_ROUND_OFF_PULLS`
+    that satisfies every row, and the certified gap is re-stated for the
+    moved point against the same dual bound.
+    """
+    objective = objective_at(bandwidths)
+    gap = run.gap
+    if not constraints.is_feasible(bandwidths, FEASIBILITY_TOLERANCE):
+        for pull in _ROUND_OFF_PULLS:
+            moved = bandwidths + pull * (start - bandwidths)
+            if constraints.is_feasible(moved, FEASIBILITY_TOLERANCE):
+                break
+        else:
+            raise OptimizationError(
+                f"the interior-point run ended infeasible ({run.status})"
+            )
+        bound = (1.0 - gap) * objective
+        bandwidths, objective = moved, objective_at(moved)
+        gap = 1.0 - bound / objective
+    return SolverResult(
+        bandwidths=tuple(float(b) for b in bandwidths),
+        objective=objective,
+        success=gap <= CERTIFIED_GAP,
+        message=(
+            f"interior point: {run.status} after {run.iterations} "
+            f"iterations, gap {gap:.1e}"
+        ),
+        starts=1,
+        gap=gap,
+        multipliers=tuple(run.multipliers.tolist()),
+    )
+
+
+def _constant_result(
+    start: np.ndarray, objective: float, blocks: ConstraintBlocks
+) -> SolverResult:
+    """A bandwidth-independent objective: any feasible point is optimal,
+    and zero multipliers certify it (the dual bound is the constant)."""
+    return SolverResult(
+        bandwidths=tuple(float(b) for b in start),
+        objective=objective,
+        success=True,
+        message="bandwidth-independent objective",
+        starts=1,
+        gap=0.0,
+        multipliers=(0.0,) * blocks.num_rows,
+    )
+
+
 @_observed_solve("perf")
 def minimize_training_time(
     expr: Expr,
@@ -887,113 +842,30 @@ def minimize_training_time(
     """PerfOptBW: minimize the training-time expression (convex program).
 
     One interior-point run from :func:`interior_start`. The answer depends
-    only on ``expr`` and ``constraints``: no warm start, no seed order. The
-    result carries the run's multipliers and certified gap, and
-    ``starts`` is 1.
+    only on ``expr`` and ``constraints``. The result carries the run's
+    multipliers and certified gap, and ``starts`` is 1.
 
     Args:
         expr: Training-time expression.
         constraints: Designer constraint set.
         should_stop: Cooperative cancellation predicate, polled before the
-            run (one run takes milliseconds); a true return raises
-            :class:`JobCancelled`.
+            run; a true return raises :class:`JobCancelled`.
     """
     _checkpoint(should_stop, "before the solve")
     program = compile_expression(expr, constraints.num_dims)
     start = interior_start(expr, constraints)
     blocks = build_constraint_blocks(program, constraints)
     if program.num_aux == 0:
-        # Pure-compute workload: any feasible point is optimal, and zero
-        # multipliers certify it (the dual bound is the constant).
-        return SolverResult(
-            bandwidths=tuple(float(b) for b in start),
-            objective=program.objective_const,
-            success=True,
-            message="bandwidth-independent objective",
-            starts=1,
-            gap=0.0,
-            multipliers=(0.0,) * blocks.num_rows,
-        )
+        return _constant_result(start, program.objective_const, blocks)
     scaled = start / _SCALE
-    try:
-        run = interior_point(
-            blocks,
-            np.concatenate([scaled, program.initial_aux(scaled, START_AUX_MARGIN)]),
-            lambda x: program.tight_objective(x[: program.num_dims]),
-        )
-    except ValueError as exc:
-        raise OptimizationError(
-            f"no strictly feasible start for the constraint set: {exc}"
-        ) from exc
-    bandwidths = np.maximum(run.x[: program.num_dims] * _SCALE, 0.0)
-    if not constraints.is_feasible(bandwidths, FEASIBILITY_TOLERANCE):
-        raise OptimizationError(
-            f"the interior-point run ended infeasible ({run.status})"
-        )
-    return SolverResult(
-        bandwidths=tuple(float(b) for b in bandwidths),
-        objective=vector_evaluator(simplify(expr))(bandwidths),
-        success=run.gap <= CERTIFIED_GAP,
-        message=(
-            f"interior point: {run.status} after {run.iterations} "
-            f"iterations, gap {run.gap:.1e}"
-        ),
-        starts=1,
-        gap=run.gap,
-        multipliers=tuple(run.multipliers.tolist()),
+    run = _run_kernel(
+        blocks,
+        np.concatenate([scaled, program.initial_aux(scaled, START_AUX_MARGIN)]),
+        program,
     )
-
-
-@_observed_solve("perf")
-def _perf_seed(
-    expr: Expr,
-    constraints: ConstraintSet,
-    blocks: ConstraintBlocks | None,
-    should_stop: Callable[[], bool] | None,
-) -> SolverResult:
-    """PerfPerCostOptBW's inner PerfOpt solve: two SLSQP starts, best kept.
-
-    PerfPerCost seeds its multi-start with this point, so it stays the
-    SLSQP solve PerfPerCost was tuned with (an interior-point seed moves
-    PerfPerCost answers both ways). It goes once PerfPerCost has a
-    certified solver of its own.
-    """
-    _checkpoint(should_stop, "before the first start")
-    program = compile_expression(expr, constraints.num_dims)
-    if program.num_aux == 0:
-        point = build_seeds(expr, constraints)[0]
-        return SolverResult(
-            bandwidths=tuple(float(b) for b in point),
-            objective=program.objective_const,
-            success=True,
-            message="bandwidth-independent objective",
-            starts=1,
-        )
-    gradient = np.concatenate([np.zeros(program.num_dims), program.objective_weights])
-    num_dims = program.num_dims
-    objective_const = program.objective_const
-    objective_weights = program.objective_weights
-
-    def objective(x: np.ndarray) -> float:
-        return objective_const + objective_weights @ x[num_dims:]
-
-    def objective_grad(x: np.ndarray) -> np.ndarray:
-        return gradient
-
-    seeds = build_seeds(expr, constraints)[:DEFAULT_PERF_WARM_STARTS]
-    candidates = []
-    for index, seed in enumerate(seeds):
-        _checkpoint(should_stop, f"before start {index + 1} of {len(seeds)}")
-        candidates.append(
-            _solve_from_seed(
-                program, blocks, objective, objective_grad, seed
-            )
-        )
-    # The seeds themselves are feasible fallbacks (aux tight = true value).
-    candidates.extend(_seed_fallbacks(program, seeds, program.objective_value))
-    return _finish(
-        program, constraints, vector_evaluator(simplify(expr)), candidates,
-        len(seeds),
+    bandwidths = np.maximum(run.x[: program.num_dims] * _SCALE, 0.0)
+    return _result(
+        bandwidths, start, constraints, vector_evaluator(simplify(expr)), run
     )
 
 
@@ -1002,11 +874,15 @@ def minimize_time_cost_product(
     expr: Expr,
     constraints: ConstraintSet,
     cost_rates: Sequence[float],
-    max_starts: int | None = None,
-    warm_start: Sequence[float] | None = None,
     should_stop: Callable[[], bool] | None = None,
 ) -> SolverResult:
-    """PerfPerCostOptBW: minimize time × dollar-cost (bilinear objective).
+    """PerfPerCostOptBW: minimize time × dollar-cost.
+
+    One interior-point run over the perspective program
+    (:func:`perspective_program`), which is convex although time × cost
+    is bilinear in ``B``. The result carries the run's multipliers (in
+    the perspective program's row order) and certified gap, and
+    ``starts`` is 1.
 
     Args:
         expr: Training-time expression.
@@ -1014,132 +890,22 @@ def minimize_time_cost_product(
         cost_rates: ``$ per (byte/s)`` per dimension — network-cost slope,
             *already multiplied by the NPU count* (see
             :func:`repro.cost.estimator.cost_rates`).
-        max_starts: Cap on the multi-start seed family (the PerfOpt warm
-            start is appended on top); ``None`` keeps every seed.
-        warm_start: Prior optimum (bytes/s) used as a continuation seed;
-            a trusted warm run skips both the seed fan-out *and* the inner
-            PerfOpt warm-start solve. ``None`` is the cold path (default).
-        should_stop: Cooperative cancellation predicate, polled between
-            multi-start seeds (including the inner PerfOpt solve's); a
-            true return raises :class:`JobCancelled`.
+        should_stop: Cooperative cancellation predicate, polled before the
+            run; a true return raises :class:`JobCancelled`.
     """
-    _checkpoint(should_stop, "before the first start")
-    program = compile_expression(expr, constraints.num_dims)
+    _checkpoint(should_stop, "before the solve")
+    perspective = perspective_program(expr, constraints, cost_rates)
     rates = np.asarray(cost_rates, dtype=float)
-    if rates.shape != (constraints.num_dims,):
-        raise OptimizationError(
-            f"expected {constraints.num_dims} cost rates, got {rates.shape}"
-        )
-    rates_scaled = rates * _SCALE  # $ per GB/s
-
-    blocks: ConstraintBlocks | None = None
-    if program.num_aux > 0:
-        blocks = build_constraint_blocks(program, constraints)
-
-    time_evaluator = vector_evaluator(simplify(expr))
-
-    def evaluate_true(bandwidths: np.ndarray) -> float:
-        return time_evaluator(bandwidths) * float(rates @ bandwidths)
-
-    seeds = build_seeds(expr, constraints, cost_rates=rates)
-    if max_starts is not None:
-        seeds = seeds[: max(1, max_starts)]
-
-    # Normalize the product objective to O(1): raw time×dollar values reach
-    # 1e7+, which defeats SLSQP's convergence tests and line search.
-    scale = max(evaluate_true(seeds[0]), 1e-30)
-
-    num_dims = program.num_dims
-    objective_const = program.objective_const
-    objective_weights = program.objective_weights
-
-    def objective(x: np.ndarray) -> float:
-        return (
-            (objective_const + objective_weights @ x[num_dims:])
-            * (rates_scaled @ x[:num_dims])
-            / scale
-        )
-
-    # One reusable gradient buffer: SLSQP consumes the values before the
-    # next gradient evaluation, so in-place rewrites are safe and avoid a
-    # per-iteration allocation.
-    gradient_buffer = np.zeros(num_dims + program.num_aux)
-
-    def objective_grad(x: np.ndarray) -> np.ndarray:
-        time_value = objective_const + objective_weights @ x[num_dims:]
-        cost_value = rates_scaled @ x[:num_dims]
-        gradient_buffer[:num_dims] = time_value * rates_scaled / scale
-        gradient_buffer[num_dims:] = cost_value * objective_weights / scale
-        return gradient_buffer
-
-    # Continuation: a trusted warm run skips the whole fan-out below —
-    # including the inner PerfOpt solve, the dominant cost of a cold
-    # PerfPerCost call. A distrusted warm run joins the candidate pool.
-    warm_tag = ""
-    warm_candidates: list[tuple[np.ndarray, float, bool, str]] = []
-    if warm_start is not None and program.num_aux > 0:
-        warm_seed = project_warm_start(warm_start, constraints)
-        if warm_seed is None:
-            warm_tag = "rejected:unprojectable"
-        else:
-            candidate, reason = _try_warm(
-                program, constraints, objective, objective_grad,
-                evaluate_true, warm_seed, seeds, blocks,
-            )
-            if not reason:
-                # The projected warm seed is the continuation anchor and
-                # joins the fallback pool: the returned point can never be
-                # worse than the prior optimum reshaped onto this budget.
-                result = _finish(
-                    program, constraints, evaluate_true,
-                    [candidate] + _seed_fallbacks(
-                        program, seeds + [warm_seed], objective
-                    ),
-                    starts=1,
-                )
-                return replace(result, warm_start="accepted")
-            warm_tag = f"rejected:{reason}"
-            # Pool the warm run instead of re-seeding: _solve_from_seed is
-            # deterministic, so re-running from warm_seed would just pay
-            # the dominant per-cell cost twice for the identical result.
-            warm_candidates = [candidate]
-
-    # Seed from the PerfOpt solution: the time-cost product is bilinear,
-    # and the pure-performance optimum is both a strong basin and a
-    # guarantee that PerfPerCostOpt never reports a worse perf-per-cost
-    # than PerfOpt (its evaluation joins the candidate pool below). The
-    # compiled program and constraint blocks are shared with that inner
-    # solve, so it never recompiles anything.
-    try:
-        perf_result = _perf_seed(expr, constraints, blocks, should_stop)
-        seeds.append(np.asarray(perf_result.bandwidths, dtype=float))
-    except OptimizationError:
-        pass
+    program = perspective.program
+    start = perspective.bandwidths(perspective.start)
     if program.num_aux == 0:
-        # Compute-bound: minimizing cost alone is optimal — push bandwidth to
-        # the cheapest feasible corner via the linear cost objective.
-        candidates = []
-        for seed in seeds:
-            x = seed / _SCALE
-            candidates.append((x, evaluate_true(seed), True, "cost-only"))
-        result = _finish(
-            program, constraints, evaluate_true, candidates, len(seeds)
-        )
-        if warm_start is not None:
-            return replace(result, warm_start="rejected:bandwidth-independent")
-        return result
-
-    candidates = list(warm_candidates)
-    for index, seed in enumerate(seeds):
-        _checkpoint(should_stop, f"before start {index + 1} of {len(seeds)}")
-        candidates.append(
-            _solve_from_seed(
-                program, blocks, objective, objective_grad, seed
-            )
-        )
-    candidates.extend(_seed_fallbacks(program, seeds, objective))
-    result = _finish(
-        program, constraints, evaluate_true, candidates,
-        len(seeds) + len(warm_candidates),
+        return _constant_result(start, 0.0, perspective.blocks)
+    run = _run_kernel(perspective.blocks, perspective.start, program)
+    evaluate = vector_evaluator(simplify(expr))
+    return _result(
+        perspective.bandwidths(run.x),
+        start,
+        constraints,
+        lambda bandwidths: evaluate(bandwidths) * float(rates @ bandwidths),
+        run,
     )
-    return replace(result, warm_start=warm_tag) if warm_tag else result

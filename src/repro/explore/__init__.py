@@ -7,8 +7,8 @@ package makes that a first-class subsystem instead of hand-rolled loops:
 * :class:`SweepSpec` / :class:`ExplorationPoint` — declarative grids over
   workloads × topologies × budgets × schemes × cost models.
 * :func:`run_sweep` — parallel, cached, failure-contained execution with
-  deterministic row ordering; grids partition into continuation chains
-  (:func:`build_chains`) so budget-neighbors warm-start each other.
+  deterministic row ordering; grids partition into budget-ordered chains
+  (:func:`build_chains`), the unit of execution and pool fan-out.
 * :class:`ResultCache` / :func:`point_key` — content-addressed result reuse
   (re-running a sweep or widening an axis only solves new cells).
 * :func:`pareto_frontier` and friends — trade-off analysis over any two

@@ -1,28 +1,17 @@
-"""Continuation-chain partitioning for sweep grids.
+"""Chain partitioning for sweep grids.
 
-Neighboring cells of a sweep column — same workload × topology × scheme ×
-cost model × caps, different budget — are near-identical optimizations, so
-their optima make excellent warm starts for each other. This module turns a
-flat set of grid cells into *continuation chains*: within a chain, cells
-are sorted by ascending budget and the executor solves them sequentially,
-threading each optimum into the next cell's ``warm_start``.
+The cells of one sweep column — same workload × topology × scheme × cost
+model × caps, different budget — share a compiled engine, so the executor
+solves them together. This module turns a flat set of grid cells into
+*chains*: within a chain, cells are sorted by ascending budget. A chain is
+the executor's unit of inline execution, of process-pool fan-out and of
+``chain`` progress events; no solve reads another cell's answer, so the
+grouping shapes only scheduling, never a row.
 
 The partition is a pure function of the cell list: every cell lands in
 exactly one chain (the property the test suite pins), chains appear in
 first-cell-encounter order, and equal budgets keep their input order — so
 serial and parallel executions of one grid see identical chains.
-
-Chains whose signatures differ only in the workload's strategy tag form a
-*family* (:func:`chain_family`), which the executor runs in one process so
-each column can seed from the previous one; families are the unit of
-process-pool fan-out (warm-start propagation never has to cross a process
-boundary). Untagged chains are families of one.
-
-The chain signature is a *grouping heuristic*, not a correctness boundary:
-two cells that share a signature but would not actually continue well
-(e.g. distinct custom workloads registered under one name) merely hand the
-solver a poor warm seed, which the trust check in
-:mod:`repro.core.solver` demotes to one extra cold start.
 """
 
 from __future__ import annotations
@@ -34,13 +23,8 @@ from repro.explore.spec import ExplorationPoint
 
 T = TypeVar("T")
 
-#: Separator between a preset name and a strategy slug in a tagged
-#: per-strategy workload name (``"Turing-NLG#tp2-dp4"``).
-STRATEGY_TAG = "#"
-
-
 def chain_signature(point: ExplorationPoint) -> tuple:
-    """The continuation-family key of one grid cell.
+    """The chain key of one grid cell.
 
     Everything but the budget axis: cells differing only in
     ``total_bw_gbps`` share a signature and therefore a chain.
@@ -54,15 +38,8 @@ def chain_signature(point: ExplorationPoint) -> tuple:
     )
 
 
-def chain_family(point: ExplorationPoint) -> tuple:
-    """The chain signature with the strategy tag cut from the workload name
-    (every strategy column of one joint search shares it)."""
-    name, *rest = chain_signature(point)
-    return (name.split(STRATEGY_TAG, 1)[0], *rest)
-
-
 def chain_label(point: ExplorationPoint) -> str:
-    """Compact human-readable continuation-family label.
+    """Compact human-readable chain label.
 
     The executor stamps this onto chain progress events so streaming
     clients (``repro.serve``) can say *which* column of the grid is

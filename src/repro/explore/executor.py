@@ -1,22 +1,15 @@
-"""Sweep execution: cache lookup, chained continuation solving, assembly.
+"""Sweep execution: cache lookup, chain solving, assembly.
 
 :func:`run_sweep` is the engine's entry point. It expands a spec (or takes
 an explicit point list), serves every cell it can from the cache, and
-partitions the remainder into *continuation chains*
-(:mod:`repro.explore.chains`): same workload × topology × scheme × cost
-model × caps, sorted by ascending budget. Chains solve sequentially —
-each cell's optimum becomes the next cell's ``warm_start`` seed, which a
-PerfPerCost cell uses and a PerfOpt cell (one interior-point run) ignores
-— and run
-in chain *families* (the strategy columns of a joint search, see
-:func:`_iter_family`), the unit of process-pool fan-out, so warm-start
-propagation survives parallel execution without any cross-process state.
-Rows are assembled back in grid order, so serial, parallel, and cached
-runs of the same spec are indistinguishable except for wall-clock time.
-
-``continuation=False`` restores the cold path (every cell pays the full
-multi-start bill from cold seeds) — the reference the sweep benchmark and
-the warm-vs-cold equivalence suite compare against.
+partitions the remainder into *chains* (:mod:`repro.explore.chains`):
+same workload × topology × scheme × cost model × caps, sorted by ascending
+budget. A chain is the unit of inline execution, of process-pool fan-out
+and of ``chain`` progress events. Every cell is one certified solve whose
+answer depends on the cell alone — nothing passes from one cell to the
+next — so rows are assembled back in grid order and serial, parallel and
+cached runs of the same spec, in any point order and with any subset of
+the cells cached, are byte-identical except for wall-clock time.
 
 Failure containment: a cell that cannot be built or solved becomes an error
 row (``ExplorationResult.error`` set), never a sweep abort. *Transient*
@@ -43,18 +36,12 @@ from repro.api.registry import TOPOLOGIES, resolve_workload
 from repro.api.requests import OptimizeRequest
 from repro.api.scenario import Scenario, ScenarioWorkload
 from repro.api.service import get_service
-from repro.core.results import Scheme
 from repro.serve import faults
 from repro.utils.errors import JobCancelled, ReproError, TransientError
 from repro.workloads.workload import Workload
 
 from repro.explore.cache import ResultCache
-from repro.explore.chains import (
-    build_chains,
-    chain_family,
-    chain_label,
-    chain_signature,
-)
+from repro.explore.chains import build_chains, chain_label
 from repro.explore.keys import point_constraints, point_key, resolve_topology
 from repro.explore.records import ExplorationResult, SweepProfile, SweepResult
 from repro.explore.spec import ExplorationPoint, SweepSpec
@@ -87,16 +74,14 @@ POOL_RETRY_BACKOFF_S = 0.25
 #: * ``"plan"`` — after cache lookup: ``total``, ``cached``, ``chains``,
 #:   ``solver_calls``, ``fanout_cells``.
 #: * ``"cell"`` — one grid cell resolved: ``done``, ``total``, ``label``,
-#:   ``key``, ``status`` (``cached`` / ``solved`` / ``error``),
-#:   ``warm_start``, ``error``.
-#: * ``"chain"`` — continuation-chain progress: ``status``, ``chain``,
-#:   ``chains``, ``cells``, ``label``. Inline runs emit ``start``/``done``
-#:   around each chain; pool runs emit ``queued`` at submission (the
-#:   coordinator cannot observe when a worker actually picks a chain up)
-#:   and ``done`` when its family completes, plus ``requeued`` when a
-#:   dead pool worker forces its family onto a fresh pool and
-#:   ``quarantined`` when the family exhausts its requeue budget (its
-#:   cells become error rows).
+#:   ``key``, ``status`` (``cached`` / ``solved`` / ``error``), ``error``.
+#: * ``"chain"`` — chain progress: ``status``, ``chain``, ``chains``,
+#:   ``cells``, ``label``. Inline runs emit ``start``/``done`` around each
+#:   chain; pool runs emit ``queued`` at submission (the coordinator
+#:   cannot observe when a worker actually picks a chain up) and ``done``
+#:   when it completes, plus ``requeued`` when a dead pool worker forces
+#:   it onto a fresh pool and ``quarantined`` when it exhausts its requeue
+#:   budget (its cells become error rows).
 EventCallback = Callable[[dict], None]
 
 
@@ -166,16 +151,12 @@ def point_scenario(point: ExplorationPoint) -> Scenario:
 def solve_point(
     point: ExplorationPoint,
     key: str = "",
-    warm_start: tuple[float, ...] | None = None,
     should_stop: Callable[[], bool] | None = None,
     service=None,
 ) -> ExplorationResult:
     """Solve one exploration cell, capturing any failure as an error row.
 
-    ``warm_start`` (GB/s) is a prior optimum from a continuation neighbor;
-    ``None`` is the cold path (the default, and the only path for EqualBW
-    cells, where the request layer ignores warm seeds). ``should_stop``
-    reaches the solver's between-seed cancellation checkpoints; a
+    ``should_stop`` reaches the solver's cancellation checkpoint; a
     :class:`JobCancelled` raised there *propagates* — cancellation is not
     a cell failure and must never be pinned as an error row. ``service``
     is the executing :class:`~repro.api.service.LibraService`; ``None``
@@ -202,9 +183,7 @@ def solve_point(
                 service if service is not None else get_service()
             ).submit(
                 OptimizeRequest(
-                    scenario=point_scenario(point),
-                    scheme=point.scheme,
-                    warm_start=warm_start,
+                    scenario=point_scenario(point), scheme=point.scheme
                 ),
                 should_stop=should_stop,
             )
@@ -223,7 +202,6 @@ def solve_point(
                 ppc_gain_over_equal=response.ppc_gain_over_baseline or 0.0,
                 solver_message=optimized.solver_message,
                 solver_starts=int(diagnostics.get("starts", 0)),
-                warm_start=str(diagnostics.get("warm_start", "")),
             )
         except JobCancelled:
             raise
@@ -246,95 +224,52 @@ def solve_point(
     )
 
 
-def _iter_family(
-    tasks: list[tuple[int, list[tuple[str, ExplorationPoint]]]],
-    columns: dict[tuple, dict[float, tuple[float, ...]]],
+def _iter_chain(
+    chain: list[tuple[str, ExplorationPoint]],
     should_stop: Callable[[], bool] | None = None,
     service=None,
-    on_chain: Callable[[str, int], None] | None = None,
 ):
-    """Solve one family's ``(chain index, chain)`` tasks, yielding per cell.
+    """Solve one chain's ``(key, point)`` cells in order, yielding
+    ``(key, result)`` per cell.
 
-    A family is the chains whose signatures differ only in the strategy
-    tag (:func:`~repro.explore.chains.chain_family`); ``columns`` maps each
-    of its columns, in grid order, to the optima phase 1 served from the
-    cache by budget, and each optimum solved here joins its column. A cell
-    warm-starts from its chain's latest *successful* optimum; until there
-    is one, from the cached budget of its column nearest the chain's first
-    (preferring the largest at-or-below), so widening a cached grid never
-    pays a cold solve; a cell with neither takes the previous column's
-    optimum at its budget.
-    Yields ``(key, result, cross_seeded)``. The whole family runs in one
-    process, so propagation needs no cross-worker state. ``on_chain``
-    hears ``("start", index)`` and ``("done", index)`` around each chain.
-
-    Yielding cell-by-cell (rather than returning the finished family) is
+    Yielding cell-by-cell (rather than returning the finished chain) is
     what makes cancellation lossless on the inline path: every yielded row
     is installed — and cached — before the next cell's ``should_stop``
     checkpoint can raise :class:`JobCancelled`.
     """
-    order = list(columns)
-    for index, chain in tasks:
-        if on_chain is not None:
-            on_chain("start", index)
-        _, first = chain[0]
-        signature = chain_signature(first)
-        position = order.index(signature) if signature in columns else 0
-        cross = columns[order[position - 1]] if position else {}
-        column = columns.setdefault(signature, {})
-        budget = first.total_bw_gbps
-        below = [item for item in column.items() if item[0] <= budget]
-        nearest = min(
-            below or column.items(),
-            key=lambda item: abs(item[0] - budget),
-            default=None,
-        )
-        warm = None if nearest is None else nearest[1]
-        with obs_trace.get_tracer().span(
-            "chain", attrs={"cells": len(chain), "label": chain_label(first)}
-        ):
-            for key, point in chain:
-                if should_stop is not None and should_stop():
-                    raise JobCancelled("sweep cancelled between cells")
-                seed = warm if warm is not None else cross.get(point.total_bw_gbps)
-                # Cell spans record on whichever process runs the family:
-                # the coordinator inline, or a pool worker — where the
-                # tracer is the fresh process's no-op default, so pool
-                # results stay bit-identical to serial ones whether or not
-                # the coordinator traces.
-                tracer = obs_trace.get_tracer()
-                if tracer is obs_trace.NULL_TRACER:
+    with obs_trace.get_tracer().span(
+        "chain", attrs={"cells": len(chain), "label": chain_label(chain[0][1])}
+    ):
+        for key, point in chain:
+            if should_stop is not None and should_stop():
+                raise JobCancelled("sweep cancelled between cells")
+            # Cell spans record on whichever process runs the chain: the
+            # coordinator inline, or a pool worker — where the tracer is
+            # the fresh process's no-op default.
+            tracer = obs_trace.get_tracer()
+            if tracer is obs_trace.NULL_TRACER:
+                result = solve_point(
+                    point, key=key, should_stop=should_stop, service=service
+                )
+            else:
+                with tracer.span("cell", attrs={"label": point.label()}) as span:
                     result = solve_point(
-                        point, key=key, warm_start=seed,
-                        should_stop=should_stop, service=service,
+                        point, key=key, should_stop=should_stop,
+                        service=service,
                     )
-                else:
-                    with tracer.span(
-                        "cell", attrs={"label": point.label()}
-                    ) as span:
-                        result = solve_point(
-                            point, key=key, warm_start=seed,
-                            should_stop=should_stop, service=service,
-                        )
-                        span.set("status", "solved" if result.ok else "error")
-                        span.set("warm_start", result.warm_start)
-                yield key, result, warm is None and seed is not None
-                if result.ok and point.scheme is not Scheme.EQUAL_BW:
-                    warm = column[point.total_bw_gbps] = result.bandwidths_gbps
-        if on_chain is not None:
-            on_chain("done", index)
+                    span.set("status", "solved" if result.ok else "error")
+            yield key, result
 
 
-def _solve_family(
-    tasks: list[tuple[int, list[tuple[str, ExplorationPoint]]]],
-    columns: dict[tuple, dict[float, tuple[float, ...]]],
-) -> list[tuple[str, ExplorationResult, bool]]:
-    """Pool-worker entry: one whole family, solved in its worker process.
+def _solve_chain(
+    chain: list[tuple[str, ExplorationPoint]],
+) -> list[tuple[str, ExplorationResult]]:
+    """Pool-worker entry: one whole chain, solved in its worker process.
 
     No ``should_stop`` here — predicates do not cross process boundaries;
-    in pool mode the *coordinator* cancels between family completions.
+    in pool mode the *coordinator* cancels between chain completions.
     """
-    return list(_iter_family(tasks, columns))
+    return list(_iter_chain(chain))
 
 
 def run_sweep(
@@ -342,7 +277,6 @@ def run_sweep(
     *,
     cache: ResultCache | None = None,
     workers: int = 1,
-    continuation: bool = True,
     on_event: EventCallback | None = None,
     should_stop: Callable[[], bool] | None = None,
     service=None,
@@ -357,26 +291,23 @@ def run_sweep(
             fresh solves are stored back.
         workers: Process-pool width; ``1`` solves inline in this process.
             Chains (not single cells) are the unit of fan-out.
-        continuation: Propagate warm starts through budget-ordered chains
-            (default). ``False`` solves every cell from cold seeds — the
-            reference path for benchmarks and equivalence checks.
         on_event: Structured-progress seam (see :data:`EventCallback`):
             one ``plan`` dict after cache lookup, one ``cell`` dict per
             resolved cell — cache hits first, then solves in completion
             order; each grid cell reports exactly once, so ``done`` never
             exceeds ``total`` — and ``chain`` start/done dicts around each
-            continuation chain. Called from the coordinating process only.
+            chain. Called from the coordinating process only.
         should_stop: Cooperative cancellation predicate, polled between
             cells (inline) or between chain completions (process pool),
-            and forwarded to the solver's between-seed checkpoints on the
-            inline path. When it turns true the sweep raises
+            and forwarded to the solver's checkpoint on the inline path.
+            When it turns true the sweep raises
             :class:`JobCancelled` — but only *after* installing every
             already-solved row, so with a cache all completed cells are
             persisted and reusable (atomic per-cell writes; no partial
             rows by construction).
         service: The :class:`~repro.api.service.LibraService` inline
-            solves run through (so a caller's engine/solution memos are
-            actually used); ``None`` falls back to the per-process
+            solves run through (so a caller's engine memo is actually
+            used); ``None`` falls back to the per-process
             default. Pool workers always use their own per-process
             service — a service cannot cross a process boundary.
         mp_context: Multiprocessing start method for the pool (``None``
@@ -393,13 +324,11 @@ def run_sweep(
     tracer = obs_trace.get_tracer()
     if tracer is obs_trace.NULL_TRACER:
         return _run_sweep_impl(
-            spec, cache, workers, continuation, on_event,
-            should_stop, service, mp_context,
+            spec, cache, workers, on_event, should_stop, service, mp_context
         )
     with tracer.span("sweep") as span:
         sweep = _run_sweep_impl(
-            spec, cache, workers, continuation, on_event,
-            should_stop, service, mp_context,
+            spec, cache, workers, on_event, should_stop, service, mp_context
         )
         span.set("total", len(sweep.results))
         span.set("cache_hits", sweep.cache_hits)
@@ -412,7 +341,6 @@ def _run_sweep_impl(
     spec: SweepSpec | Iterable[ExplorationPoint],
     cache: ResultCache | None,
     workers: int,
-    continuation: bool,
     on_event: EventCallback | None,
     should_stop: Callable[[], bool] | None,
     service,
@@ -450,7 +378,6 @@ def _run_sweep_impl(
             "label": result.point.label(),
             "key": result.key,
             "status": status,
-            "warm_start": result.warm_start,
             "error": result.error,
         })
 
@@ -482,59 +409,23 @@ def _run_sweep_impl(
         lookup_span.set("cache_hits", cache_hits)
     lookup_s = time.perf_counter() - started
 
-    # Phase 2 — solve each distinct uncached cell once, chained so later
-    # budgets continue from earlier optima. Duplicate grid cells fan the
-    # one result back out to every index that asked for it.
-    warm_accepted = 0
-    warm_rejected = 0
-    cold_solves = 0
-    cross_warm_accepted = 0
-
-    def install(key: str, result: ExplorationResult, crossed: bool) -> None:
-        nonlocal warm_accepted, warm_rejected, cold_solves, cross_warm_accepted
-        if result.warm_start == "accepted":
-            warm_accepted += 1
-            cross_warm_accepted += crossed
-        elif result.warm_start.startswith("rejected"):
-            warm_rejected += 1
-        elif result.ok:
-            cold_solves += 1
+    # Phase 2 — solve each distinct uncached cell once, in budget-ordered
+    # chains. Duplicate grid cells fan the one result back out to every
+    # index that asked for it.
+    def install(key: str, result: ExplorationResult) -> None:
         if cache is not None:
             cache.put(key, result)
         for index in pending[key]:
             resolved(index, replace(result, point=points[index]))
 
     representatives = [(key, points[indices[0]]) for key, indices in pending.items()]
-    # Family -> column signature -> budget -> optimum phase 1 served from
-    # the cache, columns in grid order. Cold chains are singletons, each a
-    # family of its own with no seeds.
-    columns: dict[object, dict[tuple, dict[float, tuple[float, ...]]]] = {}
-    if continuation:
-        chains = build_chains(representatives)
-        for point, row in zip(points, results):
-            column = columns.setdefault(chain_family(point), {}).setdefault(
-                chain_signature(point), {}
-            )
-            if (
-                row is not None and row.from_cache and row.ok
-                and point.scheme is not Scheme.EQUAL_BW
-            ):
-                column.setdefault(point.total_bw_gbps, row.bandwidths_gbps)
-    else:
-        chains = [[item] for item in representatives]
-    families: dict[object, list[tuple[int, list]]] = {}
-    for index, chain in enumerate(chains):
-        family = chain_family(chain[0][1]) if continuation else index
-        families.setdefault(family, []).append((index, chain))
-    plans = [
-        (tasks, columns.get(family, {})) for family, tasks in families.items()
-    ]
+    chains = build_chains(representatives)
     solver_calls = len(representatives)
     fanout_cells = sum(len(indices) - 1 for indices in pending.values())
     if chains:
         obs_metrics.get_registry().counter(
             obs_names.SWEEP_CHAINS,
-            "Continuation chains executed by sweeps.",
+            "Chains executed by sweeps.",
         ).inc(len(chains))
     emit({
         "type": "plan",
@@ -557,12 +448,12 @@ def _run_sweep_impl(
         })
 
     solve_started = time.perf_counter()
-    if workers <= 1 or len(plans) <= 1:
-        for tasks, optima in plans:
-            for key, result, crossed in _iter_family(
-                tasks, optima, should_stop, service, on_chain=chain_event
-            ):
-                install(key, result, crossed)
+    if workers <= 1 or len(chains) <= 1:
+        for index, chain in enumerate(chains):
+            chain_event("start", index)
+            for key, result in _iter_chain(chain, should_stop, service):
+                install(key, result)
+            chain_event("done", index)
     else:
         if mp_context:
             from repro.api.registry import custom_entries
@@ -576,18 +467,18 @@ def _run_sweep_impl(
             pool_kwargs = {}
         for index in range(len(chains)):
             chain_event("queued", index)
-        # Family index -> requeue count. A dead pool worker poisons the
+        # Chain index -> requeue count. A dead pool worker poisons the
         # whole pool (BrokenProcessPool on every in-flight future), so
-        # recovery is round-grained: unfinished families requeue on a
-        # fresh pool with backoff, and a family that exhausts its requeue
-        # budget is quarantined — its unsolved cells become error rows
-        # (never cached) and the rest of the sweep completes. Attribution
-        # is imprecise by construction (the coordinator cannot see which
-        # family killed the worker), hence counters on every unfinished
-        # family of a broken round; an innocent family pays at most
+        # recovery is round-grained: unfinished chains requeue on a fresh
+        # pool with backoff, and a chain that exhausts its requeue budget
+        # is quarantined — its unsolved cells become error rows (never
+        # cached) and the rest of the sweep completes. Attribution is
+        # imprecise by construction (the coordinator cannot see which
+        # chain killed the worker), hence counters on every unfinished
+        # chain of a broken round; an innocent chain pays at most
         # CHAIN_RETRY_ATTEMPTS requeues before the poisoned one is
         # quarantined with it.
-        todo: dict[int, int] = dict.fromkeys(range(len(plans)), 0)
+        todo: dict[int, int] = dict.fromkeys(range(len(chains)), 0)
         round_index = 0
         while todo:
             if round_index:
@@ -599,7 +490,7 @@ def _run_sweep_impl(
                 max_workers=min(workers, len(todo)), **pool_kwargs
             ) as pool:
                 futures = {
-                    pool.submit(_solve_family, *plans[index]): index
+                    pool.submit(_solve_chain, chains[index]): index
                     for index in sorted(todo)
                 }
                 remaining = set(futures)
@@ -615,13 +506,12 @@ def _run_sweep_impl(
                         except BrokenProcessPool as exc:
                             broken = exc
                             continue
-                        for key, result, crossed in rows:
-                            install(key, result, crossed)
-                        for chain_index, _ in plans[index][0]:
-                            chain_event("done", chain_index)
+                        for key, result in rows:
+                            install(key, result)
+                        chain_event("done", index)
                         del todo[index]
                     if broken is not None:
-                        break  # unfinished families requeue on a fresh pool
+                        break  # unfinished chains requeue on a fresh pool
                     if (
                         not cancelled
                         and remaining  # a finished sweep is never "cancelled"
@@ -629,7 +519,7 @@ def _run_sweep_impl(
                         and should_stop()
                     ):
                         # Predicates do not cross process boundaries, so pool
-                        # cancellation is family-grained: unstarted families
+                        # cancellation is chain-grained: unstarted chains
                         # are withdrawn, running ones drain normally (their
                         # rows still install and cache), then the sweep raises.
                         cancelled = True
@@ -642,28 +532,25 @@ def _run_sweep_impl(
                         f"sweep cancelled after {done} of {total} cells"
                     )
             if broken is None:
-                break  # every family completed; todo is empty
+                break  # every chain completed; todo is empty
             survivors: dict[int, int] = {}
             for index, requeues in sorted(todo.items()):
-                tasks, _ = plans[index]
                 if requeues >= CHAIN_RETRY_ATTEMPTS:
-                    for chain_index, chain in tasks:
-                        for key, point in chain:
-                            if results[pending[key][0]] is None:
-                                install(key, ExplorationResult(
-                                    point=point,
-                                    key=key,
-                                    error=(
-                                        "quarantined: pool worker died "
-                                        f"{requeues + 1} times while this "
-                                        f"chain was in flight ({broken})"
-                                    ),
-                                ), False)
-                        chain_event("quarantined", chain_index)
+                    for key, point in chains[index]:
+                        if results[pending[key][0]] is None:
+                            install(key, ExplorationResult(
+                                point=point,
+                                key=key,
+                                error=(
+                                    "quarantined: pool worker died "
+                                    f"{requeues + 1} times while this "
+                                    f"chain was in flight ({broken})"
+                                ),
+                            ))
+                    chain_event("quarantined", index)
                 else:
                     survivors[index] = requeues + 1
-                    for chain_index, _ in tasks:
-                        chain_event("requeued", chain_index)
+                    chain_event("requeued", index)
                     obs_metrics.get_registry().counter(
                         obs_names.JOB_RETRIES,
                         "Transient-failure retries (job requeues and "
@@ -682,10 +569,6 @@ def _run_sweep_impl(
         assemble_s=now - assemble_started,
         total_s=now - started,
         chains=len(chains),
-        warm_accepted=warm_accepted,
-        warm_rejected=warm_rejected,
-        cold_solves=cold_solves,
-        cross_warm_accepted=cross_warm_accepted,
     )
     return SweepResult(
         results=list(results),  # type: ignore[arg-type]

@@ -30,7 +30,10 @@ from repro.explore.spec import ExplorationPoint
 #: entries within the documented objective tolerance.
 #: v3: PerfOptBW cells are one certified interior-point run, so cached
 #: SLSQP PerfOpt rows are not replayed.
-ENGINE_VERSION = 3
+#: v4: PerfPerCostOptBW cells are one certified interior-point run over the
+#: perspective program and no cell is warm-started, so cached SLSQP
+#: PerfPerCost rows are not replayed.
+ENGINE_VERSION = 4
 
 
 def point_constraints(point: ExplorationPoint, num_dims: int) -> ConstraintSet:

@@ -35,12 +35,8 @@ class ExplorationResult:
         speedup_over_equal: Training speedup vs the EqualBW baseline.
         ppc_gain_over_equal: Perf-per-cost gain vs the EqualBW baseline.
         solver_message: Optimizer diagnostics.
-        solver_starts: Seeds the multi-start actually ran, 1 for a PerfOpt
-            interior-point run (0 when unknown, e.g. EqualBW rows and
-            pre-continuation cache entries).
-        warm_start: Continuation diagnostics — ``"cold"``, ``"accepted"``,
-            or ``"rejected:<reason>"``; empty when the solve predates
-            continuation or never reached the solver.
+        solver_starts: Kernel runs of the solve, 1 (0 when no solver ran,
+            e.g. EqualBW rows).
         error: Failure description; empty for successful solves.
         from_cache: True when this run served the row from the cache.
     """
@@ -54,7 +50,6 @@ class ExplorationResult:
     ppc_gain_over_equal: float = 0.0
     solver_message: str = ""
     solver_starts: int = 0
-    warm_start: str = ""
     error: str = ""
     from_cache: bool = False
 
@@ -90,7 +85,6 @@ class ExplorationResult:
             "ppc_gain_over_equal": self.ppc_gain_over_equal,
             "solver_message": self.solver_message,
             "solver_starts": self.solver_starts,
-            "warm_start": self.warm_start,
             "error": self.error,
             "from_cache": self.from_cache,
         }
@@ -114,7 +108,6 @@ class ExplorationResult:
                 ppc_gain_over_equal=float(payload.get("ppc_gain_over_equal", 0.0)),
                 solver_message=str(payload.get("solver_message", "")),
                 solver_starts=int(payload.get("solver_starts", 0)),
-                warm_start=str(payload.get("warm_start", "")),
                 error=str(payload.get("error", "")),
                 from_cache=bool(payload.get("from_cache", False)),
             )
@@ -136,7 +129,7 @@ METRICS: dict[str, Callable[[ExplorationResult], float]] = {
 
 @dataclass(frozen=True)
 class SweepProfile:
-    """Per-stage timing and warm-start telemetry of one ``run_sweep`` call.
+    """Per-stage timing of one ``run_sweep`` call.
 
     Wall-clock numbers are never serialized with the sweep rows (they vary
     run to run and would break row-identity comparisons); the profile rides
@@ -148,12 +141,7 @@ class SweepProfile:
         solve_s: Phase-2 time — chain solving (inline or pool drain).
         assemble_s: Row re-assembly and completeness accounting.
         total_s: End-to-end ``run_sweep`` wall time.
-        chains: Continuation chains the grid partitioned into.
-        warm_accepted: Solved cells whose warm start passed the trust check.
-        warm_rejected: Solved cells that fell back to the full fan-out.
-        cold_solves: Solved cells that never had a warm seed.
-        cross_warm_accepted: Of ``warm_accepted``, those seeded by the
-            previous strategy column's optimum at the same budget.
+        chains: Chains the uncached cells partitioned into.
     """
 
     lookup_s: float = 0.0
@@ -161,16 +149,6 @@ class SweepProfile:
     assemble_s: float = 0.0
     total_s: float = 0.0
     chains: int = 0
-    warm_accepted: int = 0
-    warm_rejected: int = 0
-    cold_solves: int = 0
-    cross_warm_accepted: int = 0
-
-    @property
-    def warm_hit_rate(self) -> float:
-        """Trusted warm starts over all solver calls (0.0 when none ran)."""
-        solves = self.warm_accepted + self.warm_rejected + self.cold_solves
-        return self.warm_accepted / solves if solves else 0.0
 
     def to_dict(self) -> dict:
         """JSON-ready payload (benchmark artifacts only, never cache rows)."""
@@ -180,19 +158,11 @@ class SweepProfile:
             "assemble_s": self.assemble_s,
             "total_s": self.total_s,
             "chains": self.chains,
-            "warm_accepted": self.warm_accepted,
-            "warm_rejected": self.warm_rejected,
-            "cold_solves": self.cold_solves,
-            "cross_warm_accepted": self.cross_warm_accepted,
-            "warm_hit_rate": self.warm_hit_rate,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SweepProfile":
-        """Rebuild a profile from :meth:`to_dict` output.
-
-        (``warm_hit_rate`` is a derived property and is ignored on input.)
-        """
+        """Rebuild a profile from :meth:`to_dict` output."""
         try:
             return cls(
                 lookup_s=float(payload.get("lookup_s", 0.0)),
@@ -200,10 +170,6 @@ class SweepProfile:
                 assemble_s=float(payload.get("assemble_s", 0.0)),
                 total_s=float(payload.get("total_s", 0.0)),
                 chains=int(payload.get("chains", 0)),
-                warm_accepted=int(payload.get("warm_accepted", 0)),
-                warm_rejected=int(payload.get("warm_rejected", 0)),
-                cold_solves=int(payload.get("cold_solves", 0)),
-                cross_warm_accepted=int(payload.get("cross_warm_accepted", 0)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
@@ -212,17 +178,13 @@ class SweepProfile:
 
     def format(self) -> str:
         """Human-readable per-stage summary (the ``--profile`` report)."""
-        solves = self.warm_accepted + self.warm_rejected + self.cold_solves
         lines = [
             "sweep profile:",
             f"  cache lookup: {self.lookup_s * 1e3:>9.1f} ms",
             f"  solving:      {self.solve_s * 1e3:>9.1f} ms "
-            f"({solves} solves in {self.chains} chains)",
+            f"({self.chains} chains)",
             f"  assembly:     {self.assemble_s * 1e3:>9.1f} ms",
             f"  total:        {self.total_s * 1e3:>9.1f} ms",
-            f"  warm starts:  {self.warm_accepted} accepted / "
-            f"{self.warm_rejected} rejected / {self.cold_solves} cold "
-            f"({self.warm_hit_rate:.1%} hit rate)",
         ]
         return "\n".join(lines)
 
@@ -239,7 +201,7 @@ class SweepResult:
             result (grid duplicates) — so ``cache_hits + solver_calls +
             fanout_cells + error rows`` accounts for every cell exactly
             once and progress callbacks never over-report.
-        profile: Per-stage timing/warm-start telemetry; excluded from
+        profile: Per-stage timing; excluded from
             :meth:`to_dict` because wall-clock numbers are not row data.
     """
 

@@ -14,9 +14,9 @@ job ids or paths).
 from __future__ import annotations
 
 # -- solver (core/solver.py) -------------------------------------------------
-#: Counter{scheme=perf|ppc, warm=cold|accepted|rejected}: entry-point solves.
+#: Counter{scheme=perf|ppc}: entry-point solves.
 SOLVER_SOLVES = "repro_solver_solves_total"
-#: Counter{scheme}: solver starts (multi-start seeds; 1 per interior-point run).
+#: Counter{scheme}: kernel runs (one per entry-point solve).
 SOLVER_STARTS = "repro_solver_starts_total"
 #: Histogram{scheme}: wall time of one entry-point solve.
 SOLVER_SECONDS = "repro_solver_solve_seconds"
@@ -26,8 +26,6 @@ SOLVER_SECONDS = "repro_solver_solve_seconds"
 SERVICE_REQUESTS = "repro_service_requests_total"
 #: Counter{outcome=hit|miss}: engine memo consultations (miss == compile).
 SERVICE_ENGINE_MEMO = "repro_service_engine_compiles_total"
-#: Counter{outcome=hit|miss|store}: solution memo reads and writes.
-SERVICE_SOLUTION_MEMO = "repro_service_solution_memo_total"
 
 # -- result cache (explore/cache.py) -----------------------------------------
 #: Counter{tier=memory|disk, outcome=hit|miss}: ResultCache lookups.
@@ -42,7 +40,7 @@ CACHE_CORRUPT = "repro_cache_corrupt_total"
 # -- sweep executor (explore/executor.py) ------------------------------------
 #: Counter{status=cached|solved|error}: grid cells resolved.
 SWEEP_CELLS = "repro_sweep_cells_total"
-#: Counter: continuation chains executed.
+#: Counter: sweep chains executed.
 SWEEP_CHAINS = "repro_sweep_chains_total"
 
 # -- job manager (serve/manager.py) ------------------------------------------
@@ -121,7 +119,6 @@ REQUIRED_FAMILIES = (
     SOLVER_SECONDS,
     SERVICE_REQUESTS,
     SERVICE_ENGINE_MEMO,
-    SERVICE_SOLUTION_MEMO,
     CACHE_LOOKUPS,
     CACHE_WRITES,
     SWEEP_CELLS,

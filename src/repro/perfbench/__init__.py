@@ -3,13 +3,13 @@
 Times the solver/compile/sweep hot paths on Table-II-scale workloads,
 checks every solver answer with the optimality oracle, and writes the
 ``BENCH_solver.json`` artifact that records the perf trajectory across PRs.
-:mod:`repro.perfbench.sweep` benchmarks whole grids — continuation (warm)
-vs cold — into ``BENCH_sweep.json`` with a per-cell equivalence gate.
+:mod:`repro.perfbench.sweep` benchmarks whole grids into
+``BENCH_sweep.json``, auditing every cell's certificate.
 :mod:`repro.perfbench.analyze` times cached what-if probes into
 ``BENCH_analyze.json`` with a p95 latency floor.
 :mod:`repro.perfbench.strategy` benchmarks the joint strategy × bandwidth
-search — warm-start reuse vs independent cold columns — into
-``BENCH_strategy.json`` with a solver-start reduction floor.
+search into ``BENCH_strategy.json``, with the same per-cell audit. Both
+report cells per second, the quantity the CI floors gate.
 See ``benchmarks/perf/README.md`` for the artifact schemas.
 """
 

@@ -14,9 +14,10 @@ Table-II scale, never a synthetic kernel:
 Solver benchmarks double as a correctness gate: each answer must pass the
 optimality oracle the solver tests use
 (:func:`repro.core.sensitivity.audit_solution` — feasibility, objective
-re-evaluation, the pairwise-transfer certificate for PerfOpt, and the
-PerfOpt/EqualBW floors for PerfPerCost). ``repro bench`` fails the run on
-any oracle fault, which is what the CI smoke job enforces.
+re-evaluation, and the certified primal–dual gap of either scheme).
+``repro bench`` fails the run on any oracle fault, which is what the CI
+smoke job enforces. :func:`audit_cells` applies the same oracle to every
+cell of the sweep and strategy benchmarks.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from repro.api.scenario import build_scenario
 from repro.api.service import get_service
+from repro.core.results import Scheme
 from repro.core.sensitivity import audit_solution
 from repro.core.solver import (
     clear_solver_caches,
@@ -52,8 +54,8 @@ BENCH_SCHEMA_VERSION = 2
 
 class BenchEquivalenceError(ReproError):
     """A benchmarked answer failed its correctness gate: the optimality
-    oracle (solver bench) or warm-vs-cold agreement (sweep and strategy
-    benches)."""
+    oracle, or (sweep and strategy benches) a fresh solve of a cell that
+    differs from its row."""
 
 
 @dataclass(frozen=True)
@@ -147,20 +149,16 @@ def bench_solver(config: BenchConfig) -> list[dict]:
         ),
     ]
     records = []
-    perf_bandwidths = None
     for name, solve, cost_rates in schemes:
         cold_s, result = _time_solves(solve, config.repeats, cold=True)
         warm_s, _ = _time_solves(solve, config.repeats, cold=False)
         faults = audit_solution(
-            expression, make_constraints(), result,
-            cost_rates=cost_rates, perf_bandwidths=perf_bandwidths,
+            expression, make_constraints(), result, cost_rates=cost_rates
         )
         if faults:
             raise BenchEquivalenceError(
                 f"{name} failed the optimality oracle: {'; '.join(faults)}"
             )
-        if cost_rates is None:
-            perf_bandwidths = result.bandwidths
         records.append(
             {
                 "name": name,
@@ -170,6 +168,51 @@ def bench_solver(config: BenchConfig) -> list[dict]:
             }
         )
     return records
+
+
+def audit_cells(rows) -> dict:
+    """Audit every solved cell of a sweep or strategy benchmark.
+
+    Rows carry no multipliers, so each PerfOpt or PerfPerCost cell is
+    solved again from its own scenario. The fresh answer must equal the
+    row, since a cell depends on its content alone, and must pass the
+    optimality oracle. Raises :class:`BenchEquivalenceError` on the first
+    fault; returns the audited cell count and the largest certified gap.
+    """
+    from repro.explore.executor import point_scenario
+
+    service = get_service()
+    audited, max_gap = 0, 0.0
+    for row in rows:
+        scheme = row.point.scheme
+        if not row.ok or scheme is Scheme.EQUAL_BW:
+            continue
+        scenario = point_scenario(row.point)
+        engine = service.engine(scenario)
+        point, result = engine.optimize_result(scheme, scenario.constraints)
+        rates = None
+        if scheme is Scheme.PERF_PER_COST_OPT:
+            network = scenario.network
+            rates = (
+                np.asarray(cost_rates(network, engine.cost_model))
+                * network.num_npus
+            )
+        faults = audit_solution(
+            engine.combined_expression(), scenario.constraints, result,
+            cost_rates=rates,
+        )
+        if point.bandwidths_gbps() != row.bandwidths_gbps:
+            faults.append(
+                f"a fresh solve gives {point.bandwidths_gbps()}, the row "
+                f"{row.bandwidths_gbps}"
+            )
+        if faults:
+            raise BenchEquivalenceError(
+                f"{row.point.label()} failed the audit: {'; '.join(faults)}"
+            )
+        audited += 1
+        max_gap = max(max_gap, result.gap)
+    return {"cells": audited, "max_gap": max_gap}
 
 
 def bench_compile_memo(config: BenchConfig) -> dict:
@@ -249,7 +292,7 @@ def run_benchmarks(config: BenchConfig) -> dict:
     }
     # The harness is the one caller that always opts into tracing: the
     # artifact carries per-span aggregates ("spans") next to the timings,
-    # so a regression bisects to a stage (seed solves? warm-trust checks?
+    # so a regression bisects to a stage (feasibility LP? kernel?
     # compile?) without rerunning anything. Production stays no-op.
     tracer = Tracer()
     with use_tracer(tracer):

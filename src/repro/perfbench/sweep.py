@@ -1,24 +1,18 @@
-"""Sweep-level wall-clock benchmark: continuation (warm) vs cold grids.
+"""Sweep-level wall-clock benchmark: cells per second over a whole grid.
 
 Where :mod:`repro.perfbench.harness` times one solve, this module times a
-whole fig13-style budget column through the real explore engine twice —
-once with ``continuation=False`` (every cell pays the full multi-start
-bill) and once with the default chained warm-start propagation — and
+whole fig13-style budget column through the real explore engine and
 writes the ``BENCH_sweep.json`` artifact: end-to-end wall clock, cells per
-second, the warm-start hit breakdown, and a per-cell equivalence check.
+second, the chain count, and the audit of every cell.
 
-The equivalence check is the benchmark's gate: for every grid cell the
-warm path's achieved objective (step time for PerfOpt, time × cost for
-PerfPerCost) must not sit *above* the cold path's by more than
-``objective_rtol`` — the documented continuation tolerance — or the run
-raises :class:`~repro.perfbench.harness.BenchEquivalenceError` and no
-artifact is written. The gate is one-sided: a warm seed occasionally
-escapes a line-search stall the cold family hits and lands on a *better*
-point, which is reported (``max_objective_gain``) but never a failure.
-Speed that costs solution quality is a bug, not a result.
+The audit is the benchmark's gate: every solved cell is solved again with
+its multipliers and must match its row and pass the optimality oracle
+(:func:`~repro.perfbench.harness.audit_cells`), or the run raises
+:class:`~repro.perfbench.harness.BenchEquivalenceError` and no artifact is
+written. Speed that costs solution quality is a bug, not a result.
 
-Both runs start from cleared solver caches and a fresh result cache, so
-the measured ratio isolates continuation itself (not memo-tier effects).
+Every repetition starts from cleared solver caches, a fresh service and a
+fresh result cache, like a fresh CLI invocation.
 """
 
 from __future__ import annotations
@@ -29,11 +23,12 @@ from dataclasses import dataclass
 from repro.api.service import reset_service
 from repro.core.solver import clear_solver_caches
 from repro.obs import Tracer, use_tracer
-from repro.perfbench.harness import BenchEquivalenceError
-from repro.utils.errors import ReproError
+from repro.perfbench.harness import audit_cells
 
 #: Bump when the BENCH_sweep.json layout changes.
-SWEEP_BENCH_SCHEMA_VERSION = 1
+#: v2: one timed run and an audit of every cell replace the warm-vs-cold
+#: pair and its equivalence check.
+SWEEP_BENCH_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -43,11 +38,9 @@ class SweepBenchConfig:
     Attributes:
         workloads: Workload axis (each workload is one chain per scheme).
         topology: Topology every cell shares.
-        budgets_gbps: The budget axis — the continuation direction.
+        budgets_gbps: The budget axis.
         schemes: Scheme axis (registry aliases).
-        repeats: Best-of-N wall-clock repetitions per path.
-        objective_rtol: Per-cell relative objective tolerance, warm vs
-            cold (the documented continuation tolerance).
+        repeats: Best-of-N wall-clock repetitions.
         quick: True for the seconds-scale CI smoke configuration.
         label: Free-form tag recorded in the artifact.
     """
@@ -59,7 +52,6 @@ class SweepBenchConfig:
     )
     schemes: tuple[str, ...] = ("perf", "perf-per-cost")
     repeats: int = 3
-    objective_rtol: float = 2e-2
     quick: bool = False
     label: str = ""
 
@@ -76,14 +68,7 @@ def quick_sweep_config() -> SweepBenchConfig:
     )
 
 
-def _cell_objective(result) -> float:
-    """The scheme-appropriate scalar a cell optimizes (for equivalence)."""
-    if result.point.scheme.value == "PerfPerCostOptBW":
-        return result.step_time_ms * result.network_cost
-    return result.step_time_ms
-
-
-def _timed_sweep(spec, continuation: bool, repeats: int):
+def _timed_sweep(spec, repeats: int):
     """Best-of-N cold-cache run of one grid; returns (seconds, SweepResult)."""
     from repro.explore import ResultCache, run_sweep
 
@@ -91,13 +76,11 @@ def _timed_sweep(spec, continuation: bool, repeats: int):
     sweep = None
     for _ in range(max(1, repeats)):
         # Every repetition pays the full pipeline — expression compilation,
-        # seed construction, solving — exactly like a fresh CLI invocation.
+        # the feasibility LP, solving — exactly like a fresh CLI invocation.
         clear_solver_caches()
         reset_service()
         start = time.perf_counter()
-        candidate = run_sweep(
-            spec, cache=ResultCache(), continuation=continuation
-        )
+        candidate = run_sweep(spec, cache=ResultCache())
         elapsed = time.perf_counter() - start
         if elapsed < best:
             best = elapsed
@@ -105,52 +88,12 @@ def _timed_sweep(spec, continuation: bool, repeats: int):
     return best, sweep
 
 
-def _equivalence(cold, warm, rtol: float) -> dict:
-    """Per-cell objective comparison; raises on drift past ``rtol``."""
-    if len(cold.results) != len(warm.results):
-        raise ReproError(
-            f"sweep shape drifted: cold has {len(cold.results)} rows, "
-            f"warm {len(warm.results)}"
-        )
-    worst = 0.0  # warm worse than cold (the failure direction)
-    best_gain = 0.0  # warm better than cold (reported, never a failure)
-    worst_label = ""
-    for cold_row, warm_row in zip(cold.results, warm.results):
-        if cold_row.ok != warm_row.ok:
-            raise BenchEquivalenceError(
-                f"continuation changed cell outcome at "
-                f"{cold_row.point.label()}: cold ok={cold_row.ok}, "
-                f"warm ok={warm_row.ok}"
-            )
-        if not cold_row.ok:
-            continue
-        reference = _cell_objective(cold_row)
-        drift = (_cell_objective(warm_row) - reference) / max(
-            abs(reference), 1e-30
-        )
-        if drift > worst:
-            worst = drift
-            worst_label = cold_row.point.label()
-        best_gain = max(best_gain, -drift)
-    if worst > rtol:
-        raise BenchEquivalenceError(
-            f"continuation drifted past tolerance: objective rel diff "
-            f"{worst:.3e} > {rtol:g} at {worst_label}"
-        )
-    return {
-        "max_objective_rel_diff": worst,
-        "max_objective_gain": best_gain,
-        "rtol": rtol,
-        "ok": True,
-    }
-
-
 def run_sweep_benchmark(config: SweepBenchConfig) -> dict:
-    """Run the warm-vs-cold sweep benchmark; returns the artifact payload.
+    """Run the sweep benchmark; returns the artifact payload.
 
-    Raises :class:`BenchEquivalenceError` when the warm path's design
-    points drift past ``config.objective_rtol`` — drifted timings cannot
-    be trusted, so no artifact escapes.
+    Raises :class:`~repro.perfbench.harness.BenchEquivalenceError` when a
+    cell fails its audit — timings of a wrong answer cannot be trusted,
+    so no artifact escapes.
     """
     from repro.explore import SweepSpec
 
@@ -160,21 +103,13 @@ def run_sweep_benchmark(config: SweepBenchConfig) -> dict:
         bandwidths_gbps=config.budgets_gbps,
         schemes=config.schemes,
     )
-    # Both paths trace identically (same instrumented call sites), so the
-    # warm/cold ratio is unperturbed and the artifact's "spans" aggregates
-    # say where each grid spent its time.
+    # The artifact's "spans" aggregates say where the grid spent its time.
     tracer = Tracer()
     with use_tracer(tracer):
-        cold_s, cold = _timed_sweep(
-            spec, continuation=False, repeats=config.repeats
-        )
-        warm_s, warm = _timed_sweep(
-            spec, continuation=True, repeats=config.repeats
-        )
-    equivalence = _equivalence(cold, warm, config.objective_rtol)
+        wall_s, sweep = _timed_sweep(spec, config.repeats)
+    audit = audit_cells(sweep.results)
 
-    cells = len(warm.results)
-    profile = warm.profile
+    cells = len(sweep.results)
     return {
         "schema_version": SWEEP_BENCH_SCHEMA_VERSION,
         "unix_time": time.time(),
@@ -184,26 +119,15 @@ def run_sweep_benchmark(config: SweepBenchConfig) -> dict:
             "budgets_gbps": list(config.budgets_gbps),
             "schemes": list(config.schemes),
             "repeats": config.repeats,
-            "objective_rtol": config.objective_rtol,
             "quick": config.quick,
             "label": config.label,
         },
         "cells": cells,
-        "errors": warm.num_errors,
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "speedup": cold_s / max(warm_s, 1e-12),
-        "cells_per_sec_cold": cells / max(cold_s, 1e-12),
-        "cells_per_sec_warm": cells / max(warm_s, 1e-12),
-        "breakdown": {
-            "chains": profile.chains if profile else 0,
-            "warm_accepted": profile.warm_accepted if profile else 0,
-            "warm_rejected": profile.warm_rejected if profile else 0,
-            "cold_solves": profile.cold_solves if profile else 0,
-            "warm_hit_rate": profile.warm_hit_rate if profile else 0.0,
-            "cache_hits": warm.cache_hits,
-        },
-        "equivalence": equivalence,
+        "errors": sweep.num_errors,
+        "wall_s": wall_s,
+        "cells_per_s": cells / max(wall_s, 1e-12),
+        "chains": sweep.profile.chains if sweep.profile else 0,
+        "audit": audit,
         "spans": tracer.summary(),
     }
 
@@ -211,24 +135,15 @@ def run_sweep_benchmark(config: SweepBenchConfig) -> dict:
 def format_sweep_report(artifact: dict) -> str:
     """Human-readable summary of one BENCH_sweep.json payload."""
     config = artifact["config"]
-    breakdown = artifact["breakdown"]
-    equivalence = artifact["equivalence"]
+    audit = artifact["audit"]
     return "\n".join([
         f"sweep bench — {'+'.join(config['workloads'])} on "
         f"{config['topology']}, {artifact['cells']} cells "
         f"({len(config['budgets_gbps'])} budgets × "
-        f"{len(config['schemes'])} schemes, repeats={config['repeats']})",
-        f"  cold (no continuation): {artifact['cold_s'] * 1e3:>9.1f} ms "
-        f"({artifact['cells_per_sec_cold']:.1f} cells/s)",
-        f"  warm (continuation):    {artifact['warm_s'] * 1e3:>9.1f} ms "
-        f"({artifact['cells_per_sec_warm']:.1f} cells/s)",
-        f"  speedup:                {artifact['speedup']:>9.2f}x",
-        f"  warm starts: {breakdown['warm_accepted']} accepted / "
-        f"{breakdown['warm_rejected']} rejected / "
-        f"{breakdown['cold_solves']} cold "
-        f"({breakdown['warm_hit_rate']:.1%} hit rate, "
-        f"{breakdown['chains']} chains)",
-        f"  equivalence: ok (max objective rel diff "
-        f"{equivalence['max_objective_rel_diff']:.1e}, "
-        f"tolerance {equivalence['rtol']:g})",
+        f"{len(config['schemes'])} schemes, {artifact['chains']} chains, "
+        f"repeats={config['repeats']})",
+        f"  wall:  {artifact['wall_s'] * 1e3:>9.1f} ms "
+        f"({artifact['cells_per_s']:.1f} cells/s)",
+        f"  audit: ok ({audit['cells']} cells certified, max gap "
+        f"{audit['max_gap']:.1e})",
     ])

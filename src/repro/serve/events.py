@@ -11,13 +11,13 @@ observation never degrades. Event *kinds* partition the stream:
 
 * ``"state"`` — a lifecycle transition (``data["state"]`` is the new
   :class:`~repro.serve.jobs.JobState` value; failures carry ``error``).
-* ``"solve"`` — a single solve finished inside the job: multi-start and
-  warm-start telemetry (``starts``, ``warm_start``, ``warm_source``).
+* ``"solve"`` — a single solve finished inside the job (``starts``, the
+  kernel runs it took).
 * ``"plan"`` — a sweep's execution plan after cache lookup (``total``,
   ``cached``, ``chains``, ``solver_calls``, ``fanout_cells``).
 * ``"cell"`` — one sweep grid cell resolved (``done``/``total``,
-  ``label``, ``status``, ``warm_start``).
-* ``"chain"`` — a continuation chain (a costrategy job's strategy
+  ``label``, ``status``).
+* ``"chain"`` — a chain of one sweep column (a costrategy job's strategy
   column) started or finished.
 
 The ``plan`` / ``cell`` / ``chain`` payloads are exactly the dicts the
@@ -38,10 +38,13 @@ from repro.utils.errors import ConfigurationError
 #: Event payloads ride the v3 API schema (they were introduced by it).
 EVENT_SCHEMA_VERSION = RESPONSE_SCHEMA_VERSION
 
-#: Known event kinds, in rough emission order within a job. Nothing emits
-#: ``strategy`` now; recovery still decodes the logs of earlier builds,
-#: which bracketed each strategy column of a costrategy job with it.
-EVENT_KINDS = ("state", "solve", "plan", "cell", "chain", "strategy")
+#: Event kinds, in rough emission order within a job.
+EVENT_KINDS = ("state", "solve", "plan", "cell", "chain")
+
+#: Kinds earlier builds emitted and nothing emits now. Only decoding
+#: accepts them, so persisted logs stay replayable: ``strategy`` bracketed
+#: each strategy column of a costrategy job.
+RETIRED_EVENT_KINDS = ("strategy",)
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,8 @@ class ProgressEvent:
     Attributes:
         seq: Per-job sequence number, starting at 0, gapless.
         job_id: The job this event belongs to.
-        kind: Discriminator from :data:`EVENT_KINDS`.
+        kind: Discriminator from :data:`EVENT_KINDS` (or, in a replayed
+            log, :data:`RETIRED_EVENT_KINDS`).
         at: Wall-clock emission time (``time.time()``).
         data: Kind-specific payload (JSON-ready scalars only).
     """
@@ -63,7 +67,7 @@ class ProgressEvent:
     data: dict
 
     def __post_init__(self) -> None:
-        if self.kind not in EVENT_KINDS:
+        if self.kind not in EVENT_KINDS + RETIRED_EVENT_KINDS:
             raise ConfigurationError(
                 f"unknown event kind {self.kind!r}; expected one of {EVENT_KINDS}"
             )

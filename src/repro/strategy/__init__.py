@@ -3,9 +3,8 @@
 The TopoOpt-style outer loop over the bandwidth solver: enumerate valid
 (tp, cp, ep, pp, dp) factorizations of the node count
 (:mod:`repro.strategy.space`), solve every strategy's bandwidth column in
-one sweep with warm-start reuse within and across strategies through the
-shared result cache (:mod:`repro.strategy.search`), and report the
-decision surface —
+one sweep through the shared result cache (:mod:`repro.strategy.search`),
+and report the decision surface —
 best strategy per budget, the strategy × bandwidth Pareto set, and
 per-strategy binding-dimension attribution
 (:mod:`repro.strategy.frontier`).

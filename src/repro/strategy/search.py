@@ -7,12 +7,10 @@ admits, solve all their bandwidth-budget columns in one
 one :class:`StrategyRun` per strategy.
 
 Each strategy's workload carries its slug in its name
-(:func:`tagged_workload`), so its column is one continuation chain and the
-columns of a search form one chain family: budgets solve ascending and
-each cell seeds the next, and a cell with no seed from its own column
-starts from the previous strategy's optimum at the same budget. The space
-enumerates strategies sorted by degree tuple precisely so neighbors differ
-minimally and those seeds survive the solver's trust check.
+(:func:`tagged_workload`), so its column is one chain of the sweep. Every
+cell is one certified solve that depends on the cell alone, so a search's
+rows do not depend on the order of its strategies, on which cells were
+cached, or on how the sweep was scheduled.
 
 Every cell is cached under its content key, so re-running any single
 strategy's column independently (``run_sweep`` over its points, or another
@@ -31,7 +29,6 @@ from functools import lru_cache
 from repro.core.results import Scheme
 from repro.cost.model import CostModel
 from repro.explore.cache import ResultCache
-from repro.explore.chains import STRATEGY_TAG
 from repro.explore.executor import EventCallback, run_sweep
 from repro.explore.keys import resolve_topology
 from repro.explore.records import ExplorationResult
@@ -45,6 +42,10 @@ from repro.workloads.presets import build_workload
 from repro.workloads.workload import Workload
 
 from repro.strategy.space import PrunedStrategy, StrategySpace, strategy_slug
+
+#: Separator between a preset name and a strategy slug in a tagged
+#: per-strategy workload name (``"Turing-NLG#tp2-dp4"``).
+STRATEGY_TAG = "#"
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,9 @@ class StrategySearchResult:
         budgets_gbps: The bandwidth column, ascending.
         runs: One :class:`StrategyRun` per kept strategy, in search order.
         pruned: Strategies the space removed, with reasons.
-        diagnostics: Execution accounting (cache/warm/cross-warm splits).
+        diagnostics: Execution accounting (the cache split and timing;
+            ``cross_warm_accepted`` is always 0 and kept for readers of
+            earlier results).
     """
 
     workload: str
@@ -106,7 +109,7 @@ class StrategySearchResult:
 def tagged_workload(preset: str, num_npus: int, strategy: Parallelism) -> Workload:
     """The concrete workload of one (preset, strategy) candidate.
 
-    The name is tagged with the strategy slug so result rows, continuation
+    The name is tagged with the strategy slug so result rows, chain
     signatures, and frontier groupings separate cleanly per strategy; the
     content key already separates on the full canonical payload (which
     includes the parallelization degrees).
@@ -137,7 +140,6 @@ def joint_search(
     cost_model: CostModel | None = None,
     dim_caps_gbps: Iterable[tuple[int, float]] = (),
     cache: ResultCache | None = None,
-    continuation: bool = True,
     service=None,
     should_stop: Callable[[], bool] | None = None,
     on_event: EventCallback | None = None,
@@ -155,9 +157,6 @@ def joint_search(
         cost_model: Cost table override; ``None`` = Table I defaults.
         dim_caps_gbps: Per-dimension caps applied to every cell.
         cache: Result cache; hits skip the solver, fresh solves store back.
-        continuation: Thread warm starts through each budget column and
-            across adjacent strategies. ``False`` solves every cell cold
-            (the benchmark baseline).
         service: Executing :class:`~repro.api.service.LibraService`;
             ``None`` uses the per-process default.
         should_stop: Cooperative-cancellation predicate, polled between
@@ -209,7 +208,6 @@ def joint_search(
         sweep = run_sweep(
             points,
             cache=cache,
-            continuation=continuation,
             on_event=on_event,
             should_stop=should_stop,
             service=service,
@@ -233,7 +231,6 @@ def joint_search(
         "Wall time of one joint strategy × bandwidth search.",
     ).observe(elapsed)
 
-    profile = sweep.profile
     width = len(budgets)
     return StrategySearchResult(
         workload=workload,
@@ -255,11 +252,9 @@ def joint_search(
             "solved": solved,
             "cached": sweep.cache_hits,
             "errors": errors,
-            "warm_accepted": profile.warm_accepted,
-            "warm_rejected": profile.warm_rejected,
-            "cold_solves": profile.cold_solves,
-            "cross_warm_accepted": profile.cross_warm_accepted,
-            "warm_hit_rate": profile.warm_hit_rate,
+            # Read by e2ebench/layers.py (_search_outcome, line 90); no
+            # cell takes a seed from another any more.
+            "cross_warm_accepted": 0,
             "search_s": elapsed,
         },
     )

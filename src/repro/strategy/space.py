@@ -5,8 +5,7 @@ just bandwidths: every way of factoring the node count into tensor-,
 context-, expert-, pipeline-, and data-parallel degrees is one candidate.
 :class:`StrategySpace` bounds that space (per-axis caps, power-of-two
 degrees) and enumerates it deterministically — sorted by the degree tuple,
-so adjacent candidates differ in as few degrees as possible and the search
-can warm-start each strategy from its predecessor's optima.
+so adjacent candidates differ in as few degrees as possible.
 
 Candidates that cannot be *placed* on the target network (a degree that
 does not factor across the dimension sizes) are pruned up front via
@@ -120,8 +119,7 @@ class StrategySpace:
         be placed on it are pruned with their located
         :class:`~repro.utils.errors.MappingError` message; the caller's
         ``rules`` veto whatever else they like. The kept list is sorted by
-        the (tp, cp, ep, pp) tuple, so neighbors differ minimally — the
-        adjacency the warm-start chain exploits.
+        the (tp, cp, ep, pp) tuple, so neighbors differ minimally.
         """
         check_positive_int(num_npus, "num_npus")
         kept: list[Parallelism] = []

@@ -19,13 +19,14 @@ This keeps the aggregate injection bandwidth per NPU per dimension equal to
 
 from __future__ import annotations
 
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.topology.building_blocks import BlockKind
 from repro.topology.network import MultiDimNetwork
 from repro.utils.errors import ConfigurationError
+
+if TYPE_CHECKING:  # networkx loads on first graph build, not at import
+    import networkx as nx
 
 
 def switch_node(dim: int, group_index: int) -> tuple[str, int, int]:
@@ -64,6 +65,8 @@ def build_graph(
         raise ConfigurationError(
             f"expected {network.num_dims} bandwidths, got {len(bandwidths)}"
         )
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(range(network.num_npus), kind="npu")
 

@@ -183,8 +183,8 @@ def simplify(expr: Expr) -> Expr:
 
     Memoized on the expression: the recursion flows through the cache, so
     shared subtrees simplify once and repeat solves of the same workload
-    (e.g. ``PerfPerCostOptBW`` warm-starting through ``PerfOptBW``, or a
-    budget sweep revisiting one expression) skip the tree walk entirely.
+    (e.g. both schemes of one cell, or a budget sweep revisiting one
+    expression) skip the tree walk entirely.
     """
     if isinstance(expr, Sum):
         merged: dict[Expr, float] = {}

@@ -78,7 +78,7 @@ class TransientError(ReproError, RuntimeError):
 class JobCancelled(ReproError, RuntimeError):
     """A cooperative cancellation checkpoint observed a cancel request.
 
-    Raised by the solver (before a solve, between multi-start seeds), the
+    Raised by the solver (before a solve), the
     sweep executor (between cells/chains), and :class:`repro.serve` job
     workers when the caller-supplied ``should_stop`` predicate turns true. Deliberately
     *not* a :class:`ConfigurationError`: a cancelled operation is neither

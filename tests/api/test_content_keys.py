@@ -162,10 +162,10 @@ def test_pinned_keys_of_composite_scenarios_and_points():
     tagged = tagged_workload("GPT-3", 512, tp8)
     assert point_key(
         ExplorationPoint(tagged, "3D-512", 432.1, Scheme.PERF_PER_COST_OPT)
-    ) == "97129fb0d100b32da4e41b683f1a95e0635a31d3fa0b71226d167a69500bb1ef"
+    ) == "aebaa5bce3e8f27c012f8b025ce7f728ee3b3a01066b7637ab738de5d476ddd7"
     assert point_key(
         ExplorationPoint("GPT-3", "4D-4K", 500.0, Scheme.PERF_OPT)
-    ) == "6a7fccdf2156fcd918fe58d19aed05bc89ae807dd1bc7e8e79ad8ed3c0136ef7"
+    ) == "2079186ecf967ba1f5e1b5457c4af8f2c6aa3d0662a690da39c7622fbb8a3ce9"
     renamed = replace(build_workload("GPT-3", 512), name="GPT-3-renamed")
     assert build_scenario("3D-512", [renamed], total_bw_gbps=500).key() == (
         "f30a4910b0a7b6c0afd6a74f416865c5954cc2b5a83741a2cc6ab2df580cca47"

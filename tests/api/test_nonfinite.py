@@ -39,9 +39,6 @@ SITES = {
         workloads=(WORKLOAD,), topologies=(TOPOLOGY,),
         bandwidths_gbps=(100.0,), dim_caps_gbps=((0, v),),
     ),
-    "optimize warm start": lambda v: OptimizeRequest(
-        scenario=SCENARIO, warm_start=(100.0, v)
-    ),
     "optimize bandwidths": lambda v: OptimizeRequest(
         scenario=SCENARIO, bandwidths_gbps=(100.0, v)
     ),

@@ -45,12 +45,12 @@ def _batch_request():
 
 
 class TestRequestEnvelope:
-    def test_versions_are_v5(self):
-        assert REQUEST_SCHEMA_VERSION == 5
+    def test_versions_are_request_v6_response_v5(self):
+        assert REQUEST_SCHEMA_VERSION == 6
         assert RESPONSE_SCHEMA_VERSION == 5
 
     def test_optimize_round_trip(self):
-        request = _optimize_request(warm_start=(240.0, 60.0), max_starts=3)
+        request = _optimize_request(scheme="perf-per-cost")
         envelope = request_to_dict(request)
         assert envelope["schema_version"] == REQUEST_SCHEMA_VERSION
         assert envelope["kind"] == "optimize"
@@ -99,22 +99,20 @@ class TestUpConversion:
     """Pre-v3 wire payloads keep working (satellite: v2→v3 acceptance)."""
 
     def test_bare_v2_optimize_payload(self):
-        payload = _optimize_request(max_starts=2).to_dict()
-        payload["schema_version"] = 2
+        """v2 payloads carry the continuation fields v6 dropped."""
+        payload = _optimize_request().to_dict()
+        payload.update(schema_version=2, warm_start=None, max_starts=2)
         parsed = request_from_dict(payload)
         assert isinstance(parsed, OptimizeRequest)
-        assert parsed.max_starts == 2
         assert parsed.scheme is Scheme.PERF_OPT
+        assert parsed.to_dict() == _optimize_request().to_dict()
 
     def test_bare_v1_optimize_payload(self):
         payload = _optimize_request().to_dict()
-        # v1: no schema_version, no continuation fields.
-        del payload["schema_version"]
-        del payload["warm_start"]
-        del payload["max_starts"]
+        del payload["schema_version"]  # v1: no schema_version
         parsed = request_from_dict(payload)
         assert isinstance(parsed, OptimizeRequest)
-        assert parsed.warm_start is None and parsed.max_starts is None
+        assert parsed.to_dict() == _optimize_request().to_dict()
 
     def test_bare_batch_payload(self):
         payload = _batch_request().to_dict()
@@ -141,9 +139,8 @@ class TestBatchResponseRoundTrip:
             network_cost=19944.0,
             speedup_over_equal=1.008,
             ppc_gain_over_equal=1.97,
-            solver_message="slsqp",
-            solver_starts=5,
-            warm_start="cold",
+            solver_message="interior point",
+            solver_starts=1,
         )
         return SweepResult(results=[row], cache_hits=0, solver_calls=1)
 
@@ -152,8 +149,8 @@ class TestBatchResponseRoundTrip:
             sweep=self._sweep(),
             diagnostics={
                 "cells": 1, "cache_hits": 0, "solver_calls": 1,
-                "fanout_cells": 0, "num_errors": 0, "warm_hit_rate": 0.0,
-                "profile": SweepProfile(chains=1, cold_solves=1).to_dict(),
+                "fanout_cells": 0, "num_errors": 0,
+                "profile": SweepProfile(chains=1).to_dict(),
             },
         )
         payload = json.loads(json.dumps(response.to_dict()))
@@ -174,11 +171,23 @@ class TestBatchResponseRoundTrip:
     def test_sweep_profile_round_trip(self):
         profile = SweepProfile(
             lookup_s=0.01, solve_s=2.5, assemble_s=0.002, total_s=2.52,
-            chains=3, warm_accepted=4, warm_rejected=1, cold_solves=3,
+            chains=3,
         )
         restored = SweepProfile.from_dict(json.loads(json.dumps(profile.to_dict())))
         assert restored == profile
-        assert restored.warm_hit_rate == profile.warm_hit_rate
+
+    def test_payloads_with_retired_warm_fields_still_read(self):
+        """Cache rows and profiles written while cells were warm-started
+        carry warm-start fields; reading ignores them."""
+        row = self._sweep().results[0]
+        payload = {**row.to_dict(), "warm_start": "accepted"}
+        assert ExplorationResult.from_dict(payload) == row
+        profile = SweepProfile(chains=2)
+        payload = {
+            **profile.to_dict(), "warm_accepted": 4, "warm_rejected": 1,
+            "cold_solves": 3, "cross_warm_accepted": 0, "warm_hit_rate": 0.5,
+        }
+        assert SweepProfile.from_dict(payload) == profile
 
     def test_exploration_result_from_cache_flag_round_trips(self):
         row = self._sweep().results[0]
@@ -198,11 +207,10 @@ class TestServiceDiagnostics:
         assert diagnostics["cells"] == 2
         assert diagnostics["solver_calls"] == 2
         assert diagnostics["fanout_cells"] == 0
-        assert set(diagnostics["profile"]) >= {
-            "lookup_s", "solve_s", "assemble_s", "total_s",
-            "chains", "warm_accepted", "warm_rejected", "cold_solves",
-            "warm_hit_rate",
+        assert set(diagnostics["profile"]) == {
+            "lookup_s", "solve_s", "assemble_s", "total_s", "chains",
         }
+        assert "warm_hit_rate" not in diagnostics
         # And the whole thing serializes.
         json.dumps(response.to_dict())
 

@@ -7,7 +7,6 @@ import pytest
 from repro.api.requests import (
     REQUEST_SCHEMA_VERSION,
     RESPONSE_SCHEMA_VERSION,
-    WARM_START_AUTO,
     BatchRequest,
     OptimizeRequest,
     OptimizeResponse,
@@ -105,45 +104,32 @@ class TestResponses:
         assert rebuilt.scenario.key() == scenario.key()
         assert rebuilt.scheme is Scheme.PERF_PER_COST_OPT
 
-    def test_v5_payload_with_kernel_key_parses(self):
-        """Payloads and job records written while the solver had a
-        ``kernel`` choice still load; the key is ignored."""
+    def test_older_payloads_with_retired_keys_parse(self):
+        """Payloads and job records written before schema v6 still load:
+        their ``warm_start``/``max_starts`` fields and the ``kernel`` key
+        are ignored."""
         scenario = build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
         request = OptimizeRequest(scenario=scenario, scheme="perf-per-cost")
         payload = json.loads(json.dumps(request.to_dict()))
-        assert payload["schema_version"] == 5
-        assert "kernel" not in payload
-        payload["kernel"] = "closures"
+        assert payload["schema_version"] == REQUEST_SCHEMA_VERSION == 6
+        assert not {"warm_start", "max_starts", "kernel"} & set(payload)
+        payload.update(
+            schema_version=5, warm_start=[200.0, 100.0], max_starts=3,
+            kernel="closures",
+        )
         assert OptimizeRequest.from_dict(payload).to_dict() == request.to_dict()
         envelope = request_to_dict(request)
-        envelope["request"]["kernel"] = "closures"
+        envelope["schema_version"] = 5
+        envelope["request"].update(payload)
         assert request_from_dict(envelope).to_dict() == request.to_dict()
 
-    def test_request_round_trips_continuation_fields(self):
-        scenario = build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
-        request = OptimizeRequest(
-            scenario=scenario, warm_start=(200.0, 100.0), max_starts=3
-        )
-        payload = json.loads(json.dumps(request.to_dict()))
-        assert payload["schema_version"] == REQUEST_SCHEMA_VERSION
-        rebuilt = OptimizeRequest.from_dict(payload)
-        assert rebuilt.warm_start == (200.0, 100.0)
-        assert rebuilt.max_starts == 3
-        auto = OptimizeRequest.from_dict(
-            OptimizeRequest(scenario=scenario, warm_start="auto").to_dict()
-        )
-        assert auto.warm_start == WARM_START_AUTO
-
-    def test_legacy_request_payload_parses_cold(self):
-        """Version-1 payloads (no schema_version) predate continuation."""
+    def test_legacy_request_payload_parses(self):
+        """Version-1 payloads carry no schema_version."""
         scenario = build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
         payload = OptimizeRequest(scenario=scenario).to_dict()
         del payload["schema_version"]
-        del payload["warm_start"]
-        del payload["max_starts"]
         rebuilt = OptimizeRequest.from_dict(payload)
-        assert rebuilt.warm_start is None
-        assert rebuilt.max_starts is None
+        assert rebuilt.to_dict() == OptimizeRequest(scenario=scenario).to_dict()
 
     def test_unknown_request_schema_version_rejected(self):
         scenario = build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
@@ -151,15 +137,6 @@ class TestResponses:
         payload["schema_version"] = 99
         with pytest.raises(ConfigurationError, match="request schema version"):
             OptimizeRequest.from_dict(payload)
-
-    def test_bad_warm_start_rejected(self):
-        scenario = build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
-        with pytest.raises(ConfigurationError, match="warm_start"):
-            OptimizeRequest(scenario=scenario, warm_start="bogus")
-        with pytest.raises(ConfigurationError, match="warm_start"):
-            OptimizeRequest(scenario=scenario, warm_start=(100.0,))
-        with pytest.raises(ConfigurationError, match="max_starts"):
-            OptimizeRequest(scenario=scenario, max_starts=0)
 
     def test_baseline_omitted_on_request(self):
         scenario = build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
@@ -306,114 +283,8 @@ class TestBatch:
             BatchRequest(spec=spec, workers=0)
 
 
-class TestContinuationMemo:
-    """The per-engine solution memo behind ``warm_start='auto'``."""
-
-    def test_cold_requests_never_read_the_memo(self):
-        """Default requests are cold: diagnostics say so even after the
-        memo has entries for the family."""
-        service = LibraService()
-        service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
-        ))
-        second = service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=400)
-        ))
-        assert second.diagnostics["warm_start"] == "cold"
-        assert second.diagnostics["warm_source"] == "none"
-
-    def test_auto_warm_start_hits_family_memo(self):
-        service = LibraService()
-        cold = service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
-        ))
-        assert service.solution_count == 1
-        warm = service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=400),
-            warm_start=WARM_START_AUTO,
-        ))
-        assert warm.diagnostics["warm_source"] == "memo-hit"
-        assert warm.diagnostics["warm_start"] in ("accepted", "cold") or (
-            warm.diagnostics["warm_start"].startswith("rejected")
-        )
-        # Same family as the cold solve: budget differs, caps do not.
-        cold_check = LibraService().submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=400)
-        ))
-        assert (
-            warm.point.weighted_step_time
-            <= cold_check.point.weighted_step_time * 1.02
-        )
-        assert cold.diagnostics["warm_source"] == "none"
-
-    def test_auto_without_prior_solution_is_a_memo_miss(self):
-        service = LibraService()
-        response = service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300),
-            warm_start=WARM_START_AUTO,
-        ))
-        assert response.diagnostics["warm_source"] == "memo-miss"
-        assert response.diagnostics["warm_start"] == "cold"
-
-    def test_memo_is_scheme_scoped(self):
-        service = LibraService()
-        service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300),
-            scheme=Scheme.PERF_OPT,
-        ))
-        other_scheme = service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=400),
-            scheme=Scheme.PERF_PER_COST_OPT,
-            warm_start=WARM_START_AUTO,
-        ))
-        assert other_scheme.diagnostics["warm_source"] == "memo-miss"
-
-    def test_memo_is_family_scoped(self):
-        """A capped constraint set is a different continuation family."""
-        service = LibraService()
-        service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
-        ))
-        capped = service.submit(OptimizeRequest(
-            scenario=build_scenario(
-                TOPOLOGY, [WORKLOAD], total_bw_gbps=400,
-                dim_caps_gbps=[(1, 60.0)],
-            ),
-            warm_start=WARM_START_AUTO,
-        ))
-        assert capped.diagnostics["warm_source"] == "memo-miss"
-
-    def test_memo_bounded_by_lru(self):
-        service = LibraService(max_solutions=1)
-        service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300),
-            scheme=Scheme.PERF_OPT,
-        ))
-        service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300),
-            scheme=Scheme.PERF_PER_COST_OPT,
-        ))
-        assert service.solution_count == 1
-
-    def test_clear_drops_solutions(self):
-        service = LibraService()
-        service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
-        ))
-        assert service.solution_count == 1
-        service.clear()
-        assert service.solution_count == 0
-
-    def test_explicit_warm_start_round_trips_through_solver(self):
-        service = LibraService()
-        prior = service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300)
-        ))
-        warm = service.submit(OptimizeRequest(
-            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=400),
-            warm_start=prior.point.bandwidths_gbps(),
-        ))
-        assert warm.diagnostics["warm_source"] == "explicit"
+class TestDiagnostics:
+    """Solve responses report the kernel runs the solve took."""
 
     def test_evaluation_and_equal_bw_have_no_diagnostics(self):
         service = LibraService()
@@ -427,44 +298,14 @@ class TestContinuationMemo:
         )
         assert equal.diagnostics is None
 
-    def test_diagnostics_serialize(self):
+    @pytest.mark.parametrize("scheme", [Scheme.PERF_OPT, Scheme.PERF_PER_COST_OPT])
+    def test_diagnostics_serialize(self, scheme):
         service = LibraService()
         response = service.submit(OptimizeRequest(
             scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300),
-            max_starts=2,
+            scheme=scheme,
         ))
         payload = json.loads(json.dumps(response.to_dict()))
-        assert payload["diagnostics"]["starts"] <= 2
-        assert payload["diagnostics"]["max_starts"] == 2
+        assert payload["diagnostics"] == {"starts": 1}
         rebuilt = OptimizeResponse.from_dict(payload)
         assert rebuilt.diagnostics == payload["diagnostics"]
-
-
-class TestConstraintFamilyKey:
-    def test_budget_is_excluded_from_the_family(self):
-        from repro.api.service import constraint_family_key
-        from repro.core import ConstraintSet
-
-        low = ConstraintSet(2).with_total_bandwidth(gbps(300))
-        high = ConstraintSet(2).with_total_bandwidth(gbps(1000))
-        assert constraint_family_key(low) == constraint_family_key(high)
-
-    def test_caps_and_orderings_split_families(self):
-        from repro.api.service import constraint_family_key
-        from repro.core import ConstraintSet
-
-        plain = ConstraintSet(2).with_total_bandwidth(gbps(300))
-        capped = (
-            ConstraintSet(2)
-            .with_total_bandwidth(gbps(300))
-            .with_dim_cap(1, gbps(60))
-        )
-        ordered = (
-            ConstraintSet(2)
-            .with_total_bandwidth(gbps(300))
-            .with_ordering([0, 1])
-        )
-        keys = {
-            constraint_family_key(c) for c in (plain, capped, ordered)
-        }
-        assert len(keys) == 3

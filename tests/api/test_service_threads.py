@@ -3,7 +3,7 @@
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.api.requests import OptimizeRequest, WARM_START_AUTO
+from repro.api.requests import OptimizeRequest
 from repro.api.scenario import build_scenario
 from repro.api.service import LibraService
 
@@ -56,33 +56,6 @@ class TestConcurrentSubmit:
             responses = [f.result() for f in futures]
         assert len(responses) == 8
         assert service.compiled_count <= 2
-
-    def test_solution_memo_bound_respected_under_contention(self):
-        service = LibraService(max_solutions=3)
-        budgets = [100, 150, 200, 250, 300, 350, 400, 450]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(lambda b: service.submit(_request(b)), budgets))
-        assert service.solution_count <= 3
-
-    def test_warm_memo_recall_is_consistent_under_threads(self):
-        service = LibraService()
-        service.submit(_request(300))  # seed the solution memo
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            responses = list(pool.map(
-                lambda _: service.submit(
-                    OptimizeRequest(
-                        scenario=build_scenario(
-                            TOPOLOGY, [WORKLOAD], total_bw_gbps=320
-                        ),
-                        warm_start=WARM_START_AUTO,
-                    )
-                ),
-                range(4),
-            ))
-        sources = {r.diagnostics["warm_source"] for r in responses}
-        assert sources <= {"memo-hit"}
-        points = {r.point.bandwidths for r in responses}
-        assert len(points) == 1  # all racers converged identically
 
     def test_clear_while_submitting_never_corrupts(self):
         service = LibraService()

@@ -1,11 +1,12 @@
-"""The PerfOptBW interior-point kernel: quality, certificate, content purity.
+"""The interior-point kernel of both schemes: quality, certificate, purity.
 
-Reference answers come from the multi-start SLSQP solver the kernel
+Reference answers come from the multi-start SLSQP solvers the kernel
 replaced (``slsqp_answers.json``, provenance inside): the paper's figure
-grid and the tier-1 oracle grid. On every cell the kernel's PerfOpt
-objective is no worse than SLSQP's beyond 1e-9 relative, its certified gap
-is at most 1e-6 and the oracle passes it; PerfPerCostOptBW answers, still
-SLSQP, are bit-identical to the recorded ones.
+grid and the tier-1 oracle grid. On every cell each scheme's objective is
+no worse than SLSQP's beyond 1e-9 relative, its certified gap is at most
+1e-6 and the oracle passes it. A PerfPerCostOptBW answer is compared with
+the recorded SLSQP point projected onto its constraint set: SLSQP points
+may underspend the budget equality within the feasibility tolerance.
 """
 
 import json
@@ -17,20 +18,22 @@ import pytest
 from scipy.optimize import minimize
 
 import repro.core.solver as solver
-from repro.api import OptimizeRequest, build_scenario, get_service
+from repro.api import LibraService, OptimizeRequest, build_scenario
 from repro.core import (
     ConstraintSet,
     Libra,
     Scheme,
     audit_solution,
     build_constraint_blocks,
+    clear_solver_caches,
     compile_expression,
     minimize_time_cost_product,
     minimize_training_time,
+    perspective_program,
 )
+from repro.core.kernel import _bound_structure, _lagrange_bound
 from repro.core.sensitivity import dual_bound
 from repro.cost.estimator import cost_rates
-from repro.explore import SweepSpec, run_sweep
 from repro.topology import get_topology
 from repro.training.expr import CommTerm, Const, MaxExpr, Sum, vector_evaluator
 from repro.utils import gbps
@@ -82,16 +85,16 @@ def constraints_for(num_dims: int, budget: float, variant: str) -> ConstraintSet
 
 
 @pytest.fixture
-def slsqp_calls(monkeypatch):
-    """Counts every SLSQP run the solver starts."""
+def kernel_runs(monkeypatch):
+    """Counts every interior-point run the solver starts."""
     calls = []
-    original = solver.minimize_slsqp
+    original = solver.interior_point
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "minimize_slsqp", counting)
+    monkeypatch.setattr(solver, "interior_point", counting)
     return calls
 
 
@@ -99,7 +102,7 @@ def slsqp_calls(monkeypatch):
     "workload,topology", sorted(GROUPS), ids=[f"{w}-{t}" for w, t in sorted(GROUPS)]
 )
 def test_perf_opt_is_certified_and_no_worse_than_slsqp(
-    problem, slsqp_calls, workload, topology
+    problem, kernel_runs, workload, topology
 ):
     expr, _, num_dims = problem(workload, topology)
     for budget, variant in GROUPS[workload, topology]:
@@ -111,25 +114,37 @@ def test_perf_opt_is_certified_and_no_worse_than_slsqp(
         assert result.success and result.gap <= 1e-6, (cell, result.message)
         assert result.starts == 1 and result.warm_start == ""
         assert not audit_solution(expr, constraints, result), cell
-    assert slsqp_calls == []
+    assert len(kernel_runs) == len(GROUPS[workload, topology])
 
 
 @pytest.mark.parametrize(
     "workload,topology", sorted(GROUPS), ids=[f"{w}-{t}" for w, t in sorted(GROUPS)]
 )
-def test_perf_per_cost_is_bit_identical_to_slsqp(problem, workload, topology):
+def test_perf_per_cost_is_certified_and_no_worse_than_slsqp(
+    problem, kernel_runs, workload, topology
+):
     expr, rates, num_dims = problem(workload, topology)
+    evaluate = vector_evaluator(expr)
     for budget, variant in GROUPS[workload, topology]:
-        result = minimize_time_cost_product(
-            expr, constraints_for(num_dims, budget, variant), rates
-        )
+        constraints = constraints_for(num_dims, budget, variant)
+        result = minimize_time_cost_product(expr, constraints, rates)
         recorded = RECORDED[f"{workload}|{topology}|{budget}|{variant}"]
-        assert result.objective == recorded["ppc"]
-        assert list(result.bandwidths) == recorded["ppc_bandwidths"]
+        projected = solver._proportional_split(
+            np.asarray(recorded["ppc_bandwidths"]), constraints
+        )
+        reference = evaluate(projected) * float(rates @ projected)
+        cell = f"{workload}/{topology} @ {budget} ({variant})"
+        assert result.objective <= reference * (1 + NO_WORSE_RTOL), cell
+        assert result.success and result.gap <= 1e-6, (cell, result.message)
+        assert result.starts == 1 and result.warm_start == ""
+        assert not audit_solution(
+            expr, constraints, result, cost_rates=rates
+        ), cell
+    assert len(kernel_runs) == len(GROUPS[workload, topology])
 
 
-#: 3-D cells for the brute-force check: the figure grid's hardest PerfOpt
-#: cells plus one of each remaining Table-II workload.
+#: 3-D cells for the PerfOpt brute-force check: the figure grid's hardest
+#: PerfOpt cells plus one of each remaining Table-II workload.
 BRUTE_FORCE_CELLS = (
     ("GPT-3", "3D-4K", 800),
     ("MSFT-1T", "3D-4K", 1000),
@@ -139,101 +154,124 @@ BRUTE_FORCE_CELLS = (
     ("ResNet-50", "3D-4K", 600),
 )
 
+#: 3-D cells for the PerfPerCost brute-force check: the PerfOpt cells, the
+#: cell where the SLSQP answer was furthest off (DLRM/3D-512 @ 1000), and
+#: the remaining workloads across both fabrics and the budget range.
+PPC_BRUTE_FORCE_CELLS = BRUTE_FORCE_CELLS + (
+    ("DLRM", "3D-512", 1000),
+    ("MoE-1T", "3D-512", 400),
+    ("Long-128K", "3D-4K", 500),
+    ("GPT-3", "3D-512", 200),
+    ("MSFT-1T", "3D-512", 400),
+    ("Turing-NLG", "3D-4K", 100),
+)
+
+
+def brute_force(value, floor: float, total: float) -> float:
+    """The best of ``value`` over the budget simplex of three dimensions:
+    a 121-step grid over the shares, then a Nelder–Mead polish of the best
+    three grid points."""
+
+    def on_simplex(shares: np.ndarray) -> float:
+        point = total * np.array([shares[0], shares[1], 1 - shares[0] - shares[1]])
+        return value(point) if np.all(point >= floor) else np.inf
+
+    steps = np.linspace(0.0, 1.0, 121)[1:-1]
+    grid = [
+        (on_simplex(np.array([u, v])), u, v)
+        for u in steps for v in steps if u + v < 1
+    ]
+    return min(
+        minimize(
+            on_simplex, np.array([u, v]), method="Nelder-Mead",
+            options={"xatol": 1e-13, "fatol": 1e-16, "maxiter": 4000},
+        ).fun
+        for _, u, v in sorted(grid)[:3]
+    )
+
 
 @pytest.mark.parametrize(
     "workload,topology,budget", BRUTE_FORCE_CELLS,
     ids=[f"{w}-{t}-{b}" for w, t, b in BRUTE_FORCE_CELLS],
 )
 def test_brute_force_never_beats_the_kernel(problem, workload, topology, budget):
-    """A grid over the 2-D budget simplex, then a Nelder–Mead polish of the
-    best grid points, evaluated on the expression tree itself."""
+    """The brute force evaluates the expression tree itself."""
     expr, _, num_dims = problem(workload, topology)
     assert num_dims == 3
     constraints = constraints_for(3, budget, "budget")
     kernel = minimize_training_time(expr, constraints)
-    evaluate = vector_evaluator(expr)
-    total, floor = gbps(budget), constraints.min_bandwidth
-
-    def value(shares: np.ndarray) -> float:
-        point = total * np.array([shares[0], shares[1], 1 - shares[0] - shares[1]])
-        return evaluate(point) if np.all(point >= floor) else np.inf
-
-    steps = np.linspace(0.0, 1.0, 121)[1:-1]
-    grid = [(value(np.array([u, v])), u, v) for u in steps for v in steps if u + v < 1]
-    best = min(
-        minimize(
-            value, np.array([u, v]), method="Nelder-Mead",
-            options={"xatol": 1e-13, "fatol": 1e-16, "maxiter": 4000},
-        ).fun
-        for _, u, v in sorted(grid)[:3]
+    best = brute_force(
+        vector_evaluator(expr), constraints.min_bandwidth, gbps(budget)
     )
     assert kernel.objective <= best * (1 + NO_WORSE_RTOL)
 
 
-class TestContentPurity:
-    """A PerfOpt answer depends on the problem alone."""
+@pytest.mark.parametrize(
+    "workload,topology,budget", PPC_BRUTE_FORCE_CELLS,
+    ids=[f"{w}-{t}-{b}" for w, t, b in PPC_BRUTE_FORCE_CELLS],
+)
+def test_brute_force_never_beats_the_perf_per_cost_kernel(
+    problem, workload, topology, budget
+):
+    """Time × cost, brute-forced on the expression tree and the rates."""
+    expr, rates, num_dims = problem(workload, topology)
+    assert num_dims == 3
+    constraints = constraints_for(3, budget, "budget")
+    kernel = minimize_time_cost_product(expr, constraints, rates)
+    evaluate = vector_evaluator(expr)
+    best = brute_force(
+        lambda point: evaluate(point) * float(rates @ point),
+        constraints.min_bandwidth, gbps(budget),
+    )
+    assert kernel.objective <= best * (1 + NO_WORSE_RTOL)
 
-    def test_warm_start_and_order_leave_the_answer_unchanged(self):
+
+SCHEMES = (Scheme.PERF_OPT, Scheme.PERF_PER_COST_OPT)
+
+
+class TestContentPurity:
+    """An answer of either scheme depends on the problem alone."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=["perf", "ppc"])
+    def test_solve_order_and_caches_leave_the_answer_unchanged(self, scheme):
         network = get_topology("3D-512")
         engine = Libra(network)
         engine.add_workload(build_workload("GPT-3", network.num_npus))
         budgets = (150.0, 400.0, 650.0)
-        cold = {
+        first = {
             budget: engine.optimize_result(
-                Scheme.PERF_OPT,
-                constraints_for(3, budget, "budget"),
+                scheme, constraints_for(3, budget, "budget")
             )[1]
             for budget in budgets
         }
-        warm = np.asarray(cold[budgets[0]].bandwidths)
+        clear_solver_caches()
         for budget in reversed(budgets):
             _, result = engine.optimize_result(
-                Scheme.PERF_OPT, constraints_for(3, budget, "budget"),
-                warm_start=warm, max_starts=1,
+                scheme, constraints_for(3, budget, "budget")
             )
-            assert result == cold[budget]
-            warm = np.asarray(result.bandwidths)
+            assert result == first[budget]
 
-    def test_service_answer_ignores_the_solution_memo(self):
-        service = get_service()
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=["perf", "ppc"])
+    def test_service_answer_does_not_depend_on_earlier_requests(self, scheme):
         scenario = build_scenario("3D-512", ["Turing-NLG"], total_bw_gbps=300)
         neighbor = build_scenario("3D-512", ["Turing-NLG"], total_bw_gbps=700)
-        cold = service.submit(OptimizeRequest(scenario=scenario))
-        service.submit(OptimizeRequest(scenario=neighbor))
-        warm = service.submit(OptimizeRequest(scenario=scenario, warm_start="auto"))
-        assert warm.point.to_dict() == cold.point.to_dict()
-        assert warm.diagnostics["starts"] == 1
-        assert warm.diagnostics["warm_start"] == "cold"
+        fresh = LibraService().submit(
+            OptimizeRequest(scenario=scenario, scheme=scheme)
+        )
+        service = LibraService()
+        service.submit(OptimizeRequest(scenario=neighbor, scheme=scheme))
+        answer = service.submit(OptimizeRequest(scenario=scenario, scheme=scheme))
+        assert answer.to_dict() == fresh.to_dict()
+        assert answer.diagnostics == {"starts": 1}
 
-    def test_sweep_rows_do_not_depend_on_continuation_or_order(self):
-        def spec(budgets):
-            return SweepSpec(
-                workloads=("Turing-NLG", "DLRM"),
-                topologies=("RI(3)_RI(2)",),
-                bandwidths_gbps=budgets,
-                schemes=(Scheme.PERF_OPT,),
-            )
-
-        def rows(sweep):
-            return {
-                (row.point.workload, row.point.total_bw_gbps): (
-                    row.bandwidths_gbps, row.step_times_ms
-                )
-                for row in sweep.results
-            }
-
-        budgets = (100.0, 250.0, 400.0)
-        chained = rows(run_sweep(spec(budgets)))
-        assert rows(run_sweep(spec(budgets), continuation=False)) == chained
-        assert rows(run_sweep(spec(tuple(reversed(budgets))))) == chained
-
-    def test_perf_opt_runs_no_slsqp_and_one_start(self, slsqp_calls):
+    def test_each_scheme_is_one_kernel_run(self, kernel_runs):
         expr = Sum((CommTerm(((0, gbps(300)), (1, gbps(40)))), Const(0.01)))
         constraints = ConstraintSet(2).with_total_bandwidth(gbps(200))
-        result = minimize_training_time(expr, constraints)
-        assert result.starts == 1 and slsqp_calls == []
-        minimize_time_cost_product(expr, constraints, [1e-9, 4e-9])
-        assert len(slsqp_calls) > 0  # PerfPerCost is still SLSQP
+        perf = minimize_training_time(expr, constraints)
+        ppc = minimize_time_cost_product(expr, constraints, [1e-9, 4e-9])
+        assert perf.starts == ppc.starts == 1 and len(kernel_runs) == 2
+        # Only the documented placeholders of the removed SLSQP solver stay.
+        assert solver.minimize_slsqp is None and solver.build_seeds is None
 
 
 class TestDualBound:
@@ -269,6 +307,62 @@ class TestDualBound:
         assert bound <= result.objective * (1 + 1e-12)
         assert result.objective - bound <= 1e-9 * result.objective
         assert not audit_solution(self.EXPR, constraints, result)
+
+    def test_perf_per_cost_bound_matches_its_certificate(self):
+        """The perspective program's bound, times its cost scale, bounds
+        time × cost, and the returned multipliers make it tight."""
+        constraints = self._constraints()
+        rates = np.array([3e-9, 1e-9, 2e-9])
+        result = minimize_time_cost_product(self.EXPR, constraints, rates)
+        perspective = perspective_program(self.EXPR, constraints, rates)
+        bound = perspective.scale * dual_bound(
+            perspective.blocks, result.multipliers
+        )
+        assert bound <= result.objective * (1 + 1e-12)
+        assert result.objective - bound <= 1e-9 * result.objective
+        assert not audit_solution(
+            self.EXPR, constraints, result, cost_rates=rates
+        )
+
+    def test_kernel_bound_equals_the_auditors_bound(self):
+        """The kernel certifies with the auditor's bound at the same
+        multipliers, also where a dimension carries no traffic and a
+        positive budget multiplier makes its reduced cost negative: that
+        Lagrangian term is least on the box's upper side."""
+        traffic_free = (
+            CommTerm(((0, gbps(100)),)),
+            ConstraintSet(2).with_total_bandwidth(gbps(200)),
+        )
+        rng = np.random.default_rng(11)
+        for expr, constraints in ((self.EXPR, self._constraints()), traffic_free):
+            blocks = build_constraint_blocks(
+                compile_expression(expr, constraints.num_dims), constraints
+            )
+            live, owners = _bound_structure(blocks)
+            num_eq, num_lin = blocks.num_eq, len(blocks.b_in)
+
+            def both(multipliers):
+                kernel = _lagrange_bound(
+                    blocks, multipliers[:num_eq],
+                    multipliers[num_eq:num_eq + num_lin],
+                    multipliers[num_eq + num_lin:][live], live, owners,
+                )
+                return kernel, dual_bound(blocks, multipliers)
+
+            for _ in range(200):
+                multipliers = rng.exponential(
+                    rng.choice([1e-3, 1.0, 1e3]), blocks.num_rows
+                )
+                multipliers[:num_eq] = rng.normal(0.0, 1.0, num_eq) * rng.choice(
+                    [1e-3, 1.0]
+                )
+                kernel, auditor = both(multipliers)
+                assert kernel == pytest.approx(auditor, rel=1e-12), multipliers
+        # The case above at ν = 1e-3, λ = 1 (GB/s units): the traffic-free
+        # dimension's term sits at its upper side, −1e-3 × 1e6 GB/s.
+        kernel, auditor = both(np.array([1e-3, 1.0]))
+        assert kernel == pytest.approx(auditor, rel=1e-12)
+        assert auditor == pytest.approx(-1999.8, abs=0.1)
 
     def test_any_multipliers_bound_the_optimum_from_below(self):
         constraints = self._constraints()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ConstraintSet,
-    build_seeds,
+    audit_solution,
     compile_expression,
     minimize_time_cost_product,
     minimize_training_time,
@@ -60,45 +60,6 @@ class TestTrafficTotals:
         assert totals[0] == pytest.approx(20.0)
         assert totals[1] == pytest.approx(17.0)
         assert totals[2] == 0.0
-
-
-class TestSeeds:
-    def test_seed_family_feasible(self):
-        expr = CommTerm(((0, gbps(100)), (1, gbps(10))))
-        cons = ConstraintSet(2).with_total_bandwidth(gbps(100))
-        seeds = build_seeds(expr, cons)
-        assert seeds
-        for seed in seeds:
-            assert cons.is_feasible(seed, tolerance=1e-4)
-
-    def test_proportional_seed_included(self):
-        expr = CommTerm(((0, gbps(300)), (1, gbps(100))))
-        cons = ConstraintSet(2).with_total_bandwidth(gbps(400))
-        seeds = build_seeds(expr, cons)
-        assert any(np.allclose(seed, [gbps(300), gbps(100)], rtol=1e-3) for seed in seeds)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        base=st.lists(
-            st.floats(min_value=0.0, max_value=1e13), min_size=1, max_size=5
-        ),
-        data=st.data(),
-    )
-    def test_dedupe_rule_is_numpys_allclose(self, base, data):
-        """Seed dedupe decides exactly as ``np.allclose(rtol=1e-6)``,
-        including right at the tolerance edge."""
-        from repro.core.solver import _seed_close
-
-        scale = data.draw(st.sampled_from([0.0, 1e-9, 5e-7, 1e-6, 2e-6, 1e-3]))
-        other = [
-            value * (1 + scale * data.draw(st.sampled_from([-1.0, 1.0])))
-            + data.draw(st.sampled_from([0.0, 1e-8, -1e-8, 2e-8]))
-            for value in base
-        ]
-        for a, b in ((base, other), (other, base)):
-            assert _seed_close(a, b) == bool(
-                np.allclose(np.array(a), np.array(b), rtol=1e-6)
-            )
 
 
 class TestPerfOpt:
@@ -204,6 +165,38 @@ class TestPerfPerCost:
         cons = ConstraintSet(1).with_total_bandwidth(gbps(10))
         with pytest.raises(OptimizationError):
             minimize_time_cost_product(expr, cons, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "rates",
+        [[np.nan, 1e-9], [np.inf, 1e-9], [-1e-9, 1e-9], [0.0, 0.0]],
+        ids=["nan", "inf", "negative", "all-zero"],
+    )
+    def test_rejects_rates_the_perspective_cannot_take(self, rates):
+        """Rates must be finite and non-negative, and price the box's lower
+        corner above zero (the perspective divides by the cost)."""
+        expr = CommTerm(((0, gbps(100)), (1, gbps(10))))
+        cons = ConstraintSet(2).with_total_bandwidth(gbps(100))
+        with pytest.raises(OptimizationError):
+            minimize_time_cost_product(expr, cons, rates)
+
+    @pytest.mark.parametrize("equality", [True, False])
+    def test_pure_compute_expression_is_certified(self, equality):
+        """A step time with no collective costs least at the cheapest
+        feasible point; the perspective's ``u`` comm row certifies it."""
+        cons = ConstraintSet(2).with_total_bandwidth(
+            gbps(200), equality=equality
+        )
+        rates = np.array([1.0, 3.0]) / 1e9
+        result = minimize_time_cost_product(Const(0.25), cons, rates)
+        assert result.success and result.gap <= 1e-6
+        assert audit_solution(Const(0.25), cons, result, rates) == []
+        cheapest = 0.25 * float(
+            rates @ (
+                [gbps(200) - cons.lower_bounds[1], cons.lower_bounds[1]]
+                if equality else cons.lower_bounds
+            )
+        )
+        assert result.objective == pytest.approx(cheapest, rel=1e-6)
 
 
 @settings(deadline=None, max_examples=25)

@@ -1,15 +1,13 @@
-"""The solver kernels: optimality oracle grid, block assembly, memoization.
+"""The solver kernel: optimality oracle grid, block assembly, memoization.
 
-PerfOptBW is convex and PerfPerCostOptBW bilinear, so the grid pins what a
+Both schemes are convex programs after compilation (PerfPerCostOptBW
+through its perspective change of variables), so the grid pins what a
 correct solve makes unique — the objective and its optimality — never the
 argmin, which is not unique on a flat face. Every Table-II workload × three
 constraint-row mixes × both schemes must pass
 :func:`repro.core.audit_solution` plus a floor set by the objectives the
 deleted closure-per-constraint reference kernel reached
-(``closures_objectives.json``, provenance inside). PerfPerCostOptBW runs on
-both SLSQP paths (scipy's compiled core through the slim loop, and the
-``scipy.optimize.minimize`` fallback); PerfOptBW is one interior-point run
-with no SLSQP path to choose.
+(``closures_objectives.json``, provenance inside).
 """
 
 import json
@@ -19,7 +17,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.core.kernel as kernel
 from repro.core import (
     ConstraintSet,
     Libra,
@@ -31,8 +28,7 @@ from repro.core import (
     minimize_training_time,
     traffic_totals,
 )
-from repro.core.kernel import minimize_slsqp
-from repro.core.solver import _SCALE, SolverResult
+from repro.core.solver import _SCALE, SolverResult, perspective_expression
 from repro.cost.estimator import cost_rates
 from repro.topology import get_topology
 from repro.training.expr import CommTerm, Const, MaxExpr, Sum, simplify
@@ -84,22 +80,20 @@ def make_constraints(variant: str, num_dims: int) -> ConstraintSet:
 
 @pytest.fixture(scope="module")
 def solve(problem_factory):
-    """Memoized grid solve; PerfPerCost runs on one SLSQP path."""
+    """Memoized grid solve."""
     cache: dict[tuple, SolverResult] = {}
 
-    def run(path: str | None, workload: str, variant: str, scheme: str):
-        key = (path, workload, variant, scheme)
+    def run(workload: str, variant: str, scheme: str):
+        key = (workload, variant, scheme)
         if key not in cache:
             expr, rates, num_dims = problem_factory(workload)
             constraints = make_constraints(variant, num_dims)
             if scheme == "perf":
                 cache[key] = minimize_training_time(expr, constraints)
             else:
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(kernel, "HAS_FAST_SLSQP", path == "fast")
-                    cache[key] = minimize_time_cost_product(
-                        expr, constraints, rates
-                    )
+                cache[key] = minimize_time_cost_product(
+                    expr, constraints, rates
+                )
         return cache[key]
 
     return run
@@ -133,7 +127,7 @@ class TestOptimalityOracle:
     @pytest.mark.parametrize("variant", ["budget", "cap", "ordering"])
     def test_perf_opt(self, problem_factory, solve, workload, variant):
         expr, _, num_dims = problem_factory(workload)
-        result = solve(None, workload, variant, "perf")
+        result = solve(workload, variant, "perf")
         faults = audit_solution(
             expr, make_constraints(variant, num_dims), result
         )
@@ -156,20 +150,17 @@ class TestOptimalityOracle:
         assert not audit_solution(expr, constraints, result)
         assert result.gap <= 1e-9
 
-    @pytest.mark.parametrize("path", ["fast", "fallback"])
     @pytest.mark.parametrize("workload", workload_names())
     @pytest.mark.parametrize("variant", ["budget", "cap", "ordering"])
-    def test_perf_per_cost(
-        self, problem_factory, solve, path, workload, variant
-    ):
+    def test_perf_per_cost(self, problem_factory, solve, workload, variant):
         expr, rates, num_dims = problem_factory(workload)
-        result = solve(path, workload, variant, "perf-per-cost")
+        result = solve(workload, variant, "perf-per-cost")
         faults = audit_solution(
             expr, make_constraints(variant, num_dims), result,
             cost_rates=rates,
-            perf_bandwidths=solve(None, workload, variant, "perf").bandwidths,
         )
         assert not faults, faults
+        assert result.success and result.starts == 1
         assert_no_worse_than_recorded(
             result, f"{workload}/{variant}/perf-per-cost"
         )
@@ -234,16 +225,21 @@ class TestOracleFaults:
         )
         assert faults == ["not certified: the result carries no multipliers"]
 
-    def test_perf_per_cost_worse_than_its_floors(self):
+    def test_perf_per_cost_uncertified(self):
+        """A feasible PerfPerCost point off the optimum is caught by the
+        perspective program's dual bound at the optimum's multipliers."""
         constraints = self._constraints()
-        perf = minimize_training_time(self.EXPR, constraints)
+        optimum = minimize_time_cost_product(self.EXPR, constraints, self.RATES)
+        assert not audit_solution(
+            self.EXPR, constraints, optimum, cost_rates=self.RATES
+        )
         skewed = constraints.equal_split() * np.array([0.5, 1.25, 1.25])
         faults = audit_solution(
-            self.EXPR, constraints, self._answer(skewed, self.RATES),
-            cost_rates=self.RATES, perf_bandwidths=perf.bandwidths,
+            self.EXPR, constraints,
+            self._answer(skewed, self.RATES, optimum.multipliers),
+            cost_rates=self.RATES,
         )
-        assert len(faults) == 2
-        assert "EqualBW" in faults[0] and "PerfOptBW" in faults[1]
+        assert len(faults) == 1 and faults[0].startswith("not certified")
 
 
 class TestConstraintBlocks:
@@ -313,32 +309,10 @@ class TestConstraintBlocks:
         for row in program.comm_constraints:
             expected.append(aux[row.aux] - row.coeff / bandwidths[row.dim])
 
-        d = np.zeros(blocks.num_rows)
-        blocks.values_into(d, x)
         assert blocks.num_eq == 1
-        np.testing.assert_allclose(d, expected, rtol=1e-12, atol=1e-12)
-
-    def test_driver_matches_scipy_fallback(self):
-        """The slim driver reproduces scipy.optimize.minimize on the blocks."""
-        from repro.core.kernel import _minimize_slsqp_fallback
-
-        expr = CommTerm(((0, gbps(120)), (1, gbps(60)), (2, gbps(15))))
-        cons = ConstraintSet(3).with_total_bandwidth(gbps(300))
-        program = compile_expression(expr, 3)
-        blocks = build_constraint_blocks(program, cons)
-        gradient = np.concatenate([np.zeros(3), program.objective_weights])
-        x0 = np.concatenate([np.full(3, 100.0), [2.0]])
-
-        fast = minimize_slsqp(
-            program.objective_value, lambda x: gradient, x0, blocks,
-            maxiter=400, ftol=1e-10,
+        np.testing.assert_allclose(
+            blocks.values(x), expected, rtol=1e-12, atol=1e-12
         )
-        slow = _minimize_slsqp_fallback(
-            program.objective_value, lambda x: gradient, x0, blocks,
-            maxiter=400, ftol=1e-10,
-        )
-        assert fast.success and slow.success
-        np.testing.assert_allclose(fast.x, slow.x, rtol=1e-7)
 
 
 class TestInitialAux:
@@ -367,20 +341,22 @@ class TestInitialAux:
 
 
 class TestMemoization:
-    def test_compile_memo_hit_on_warm_start(self):
-        """One PerfPerCost solve compiles once; the warm start is a hit."""
+    def test_perspective_program_memoized(self):
+        """PerfPerCost solves of one expression at two budgets rewrite and
+        compile its perspective expression once."""
         clear_solver_caches()
         expr = Sum(
             (CommTerm(((0, gbps(200)), (1, gbps(40)))), Const(0.01))
         )
-        cons = ConstraintSet(2).with_total_bandwidth(gbps(200))
-        minimize_time_cost_product(expr, cons, [1e-9, 5e-9])
-        info = compile_expression.cache_info()
-        assert info.misses == 1
-        assert info.hits >= 1  # the inner PerfOpt warm start reused it
+        for budget in (200, 300):
+            cons = ConstraintSet(2).with_total_bandwidth(gbps(budget))
+            minimize_time_cost_product(expr, cons, [1e-9, 5e-9])
+        assert perspective_expression.cache_info().misses == 1
+        assert compile_expression.cache_info().misses == 1
 
     def test_repeat_solve_fully_cached(self):
-        """A second identical solve re-runs SLSQP but recompiles nothing."""
+        """A second identical solve re-runs the kernel but recompiles
+        nothing."""
         clear_solver_caches()
         expr = CommTerm(((0, gbps(100)), (1, gbps(25))))
         cons = ConstraintSet(2).with_total_bandwidth(gbps(150))

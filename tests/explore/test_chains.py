@@ -90,7 +90,7 @@ class TestGridChains:
         assert [tag for tag, _ in chains[0]] == ["first", "second"]
 
     def test_caps_split_chains(self):
-        """Cells differing only in caps are different continuation families."""
+        """Cells differing only in caps are different chains."""
         uncapped = _point("GPT-3", "3D-512", 100.0, Scheme.PERF_OPT, ())
         capped = _point("GPT-3", "3D-512", 100.0, Scheme.PERF_OPT, ((0, 50.0),))
         assert chain_signature(uncapped) != chain_signature(capped)

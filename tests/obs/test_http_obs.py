@@ -91,7 +91,7 @@ class TestMetricsEndpoint:
 
         submitted = f'{obs_names.JOBS_SUBMITTED}{{kind="optimize"}}'
         completed = f'{obs_names.JOBS_COMPLETED}{{state="done"}}'
-        solves = f'{obs_names.SOLVER_SOLVES}{{scheme="perf",warm="cold"}}'
+        solves = f'{obs_names.SOLVER_SOLVES}{{scheme="perf"}}'
         assert after[submitted] == before.get(submitted, 0) + 1
         assert after[completed] == before.get(completed, 0) + 1
         assert after[solves] >= before.get(solves, 0) + 1

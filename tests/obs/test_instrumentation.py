@@ -89,10 +89,8 @@ class TestMetricsCoverage:
         registry = MetricsRegistry()
         set_registry(registry)
         _optimize()
-        solves = registry.counter(
-            obs_names.SOLVER_SOLVES, labels=("scheme", "warm")
-        )
-        assert solves.value(scheme="perf", warm="cold") >= 1
+        solves = registry.counter(obs_names.SOLVER_SOLVES, labels=("scheme",))
+        assert solves.value(scheme="perf") >= 1
         count, total = registry.histogram(
             obs_names.SOLVER_SECONDS, labels=("scheme",)
         ).observations(scheme="perf")

@@ -94,6 +94,43 @@ class TestOracleGate:
         with pytest.raises(BenchEquivalenceError, match="not certified"):
             harness.bench_solver(TINY)
 
+    def test_suboptimal_perf_per_cost_answer_fails_the_gate(self, monkeypatch):
+        """PerfPerCost answers are audited by their certificate too."""
+        solve = harness.minimize_time_cost_product
+
+        def skewed(expression, constraints, rates, **kwargs):
+            result = solve(expression, constraints, rates, **kwargs)
+            point = np.asarray(result.bandwidths)
+            shift = 0.2 * point[0]
+            point[0] -= shift
+            point[1] += shift
+            return replace(
+                result,
+                bandwidths=tuple(point),
+                objective=float(expression.evaluate(point))
+                * float(np.asarray(rates) @ point),
+            )
+
+        monkeypatch.setattr(harness, "minimize_time_cost_product", skewed)
+        with pytest.raises(BenchEquivalenceError, match="not certified"):
+            harness.bench_solver(TINY)
+
+    def test_audit_cells_flags_a_row_that_differs_from_a_fresh_solve(self):
+        from repro.explore import SweepSpec, run_sweep
+
+        sweep = run_sweep(
+            SweepSpec(
+                workloads=("Turing-NLG",), topologies=("RI(3)_RI(2)",),
+                bandwidths_gbps=(100.0, 300.0),
+                schemes=("perf", "perf-per-cost", "equal"),
+            )
+        )
+        assert harness.audit_cells(sweep.results)["cells"] == 4
+        row = sweep.results[1]
+        shifted = (row.bandwidths_gbps[0] * 0.9, row.bandwidths_gbps[1])
+        with pytest.raises(BenchEquivalenceError, match="a fresh solve"):
+            harness.audit_cells([replace(row, bandwidths_gbps=shifted)])
+
 
 class TestQuickConfig:
     def test_quick_is_flagged(self):

@@ -1,9 +1,10 @@
-"""Sweep benchmark harness: artifact schema and the equivalence gate."""
+"""Sweep benchmark harness: artifact schema and the per-cell audit."""
 
 import json
 
 import pytest
 
+import repro.perfbench.harness as harness
 from repro.perfbench.harness import BenchEquivalenceError
 from repro.perfbench.sweep import (
     SWEEP_BENCH_SCHEMA_VERSION,
@@ -23,36 +24,29 @@ TINY = SweepBenchConfig(
 )
 
 
+@pytest.fixture(scope="module")
+def artifact():
+    return run_sweep_benchmark(TINY)
+
+
 class TestSweepBenchmark:
-    def test_artifact_schema_and_speed_fields(self):
-        artifact = run_sweep_benchmark(TINY)
-        assert artifact["schema_version"] == SWEEP_BENCH_SCHEMA_VERSION
+    def test_artifact_schema_and_speed_fields(self, artifact):
+        assert artifact["schema_version"] == SWEEP_BENCH_SCHEMA_VERSION == 2
         assert artifact["cells"] == 6
         assert artifact["errors"] == 0
-        assert artifact["cold_s"] > 0 and artifact["warm_s"] > 0
-        assert artifact["speedup"] == pytest.approx(
-            artifact["cold_s"] / artifact["warm_s"]
-        )
-        breakdown = artifact["breakdown"]
-        assert breakdown["chains"] == 2
-        assert (
-            breakdown["warm_accepted"]
-            + breakdown["warm_rejected"]
-            + breakdown["cold_solves"]
-            == 6
-        )
-        assert artifact["equivalence"]["ok"] is True
-        assert (
-            artifact["equivalence"]["max_objective_rel_diff"]
-            <= TINY.objective_rtol
-        )
+        assert artifact["chains"] == 2
+        assert artifact["wall_s"] > 0
+        assert artifact["cells_per_s"] == pytest.approx(6 / artifact["wall_s"])
         assert json.dumps(artifact)  # artifact must be JSON-serializable
 
-    def test_report_is_human_readable(self):
-        artifact = run_sweep_benchmark(TINY)
+    def test_every_cell_is_audited(self, artifact):
+        assert artifact["audit"]["cells"] == 6
+        assert 0.0 <= artifact["audit"]["max_gap"] <= 1e-6
+
+    def test_report_is_human_readable(self, artifact):
         report = format_sweep_report(artifact)
-        assert "speedup" in report
-        assert "equivalence: ok" in report
+        assert "cells/s" in report
+        assert "audit: ok (6 cells certified" in report
         assert "Turing-NLG" in report
 
     def test_quick_config_is_seconds_scale(self):
@@ -61,16 +55,22 @@ class TestSweepBenchmark:
         assert config.topology == "3D-512"
         assert len(config.budgets_gbps) >= 4  # enough cells to amortize
 
-    def test_drift_past_tolerance_raises(self):
-        """An impossible tolerance must trip the gate, not write numbers."""
-        with pytest.raises(BenchEquivalenceError, match="drifted past"):
-            run_sweep_benchmark(
-                SweepBenchConfig(
-                    workloads=("Turing-NLG",),
-                    topology="RI(3)_RI(2)",
-                    budgets_gbps=(100.0, 300.0),
-                    schemes=("perf-per-cost",),
-                    repeats=1,
-                    objective_rtol=-1e-9,  # nothing can pass a negative bound
-                )
-            )
+    def test_audit_fault_raises(self, monkeypatch):
+        """A cell that fails the oracle trips the gate, not write numbers."""
+        monkeypatch.setattr(
+            harness, "audit_solution", lambda *args, **kwargs: ["planted"]
+        )
+        with pytest.raises(BenchEquivalenceError, match="planted"):
+            run_sweep_benchmark(TINY)
+
+    def test_cells_per_second_floor(self, tmp_path, capsys):
+        """``--min-cells-per-s`` passes a reachable floor and exits 3 below
+        an unreachable one (the artifact is still written)."""
+        from repro.cli import main
+
+        output = tmp_path / "BENCH_sweep.json"
+        args = ["bench", "--sweep", "--quick", "--output", str(output)]
+        assert main(args + ["--min-cells-per-s", "1"]) == 0
+        assert main(args + ["--min-cells-per-s", "1e9"]) == 3
+        assert "cells/s floor" in capsys.readouterr().err
+        assert json.loads(output.read_text())["cells_per_s"] > 1

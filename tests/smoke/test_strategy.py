@@ -3,8 +3,9 @@
 The server's solves are slowed so the kill lands mid-search. A restart on
 the same state directory recovers the job, and the resumed frontier must
 equal a cold inline run of the same request, row for row. The search runs
-PerfPerCostOptBW, the scheme whose cells take warm starts, so the resumed
-search must also reuse them.
+PerfPerCostOptBW; every cell of either scheme is one certified solve that
+depends on the cell alone, so the resumed rows match whichever cells the
+crash left cached.
 """
 
 import json
@@ -71,7 +72,7 @@ def test_recovered_search_matches_a_cold_inline_run(procs, tmp_path):
     diag = frontier.diagnostics
     assert diag["cached"] >= 2, "recovery did not resume from the cache"
     assert diag["errors"] == 0, diag
-    assert diag["warm_hit_rate"] > 0, diag
+    assert diag["cross_warm_accepted"] == 0, diag
     assert _rows(frontier) == _rows(reference), (
         "recovered frontier rows differ from the cold inline run"
     )

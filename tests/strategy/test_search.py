@@ -1,4 +1,4 @@
-"""joint_search and the frontier: warm-start reuse, cache replay, schema."""
+"""joint_search and the frontier: one solve per cell, cache replay, schema."""
 
 import json
 from dataclasses import replace
@@ -60,8 +60,7 @@ class TestJointSearch:
             base_workload_name(name) == WORKLOAD for name in names
         )
 
-    def test_warm_start_reuse_within_and_across_strategies(self):
-        # Continuation is PerfPerCostOptBW's: PerfOptBW takes no warm start.
+    def test_perf_per_cost_search_is_one_kernel_run_per_cell(self):
         search = joint_search(
             WORKLOAD, TOPOLOGY, BUDGETS, space=SPACE,
             scheme=Scheme.PERF_PER_COST_OPT, cache=ResultCache(),
@@ -70,15 +69,8 @@ class TestJointSearch:
         assert diagnostics["cells"] == 6
         assert diagnostics["solved"] == 6
         assert diagnostics["errors"] == 0
-        # Continuation threads the budget columns...
-        assert diagnostics["warm_hit_rate"] > 0
-        # ...and the adjacent strategy seeds the next column's first cell.
-        assert diagnostics["cross_warm_accepted"] >= 1
-        assert (
-            diagnostics["warm_accepted"]
-            + diagnostics["warm_rejected"]
-            + diagnostics["cold_solves"]
-        ) == 6
+        assert diagnostics["cross_warm_accepted"] == 0
+        assert [row.solver_starts for row in search.rows()] == [1] * 6
 
     def test_rerun_replays_bit_identical_rows_from_cache(self, searched):
         """The determinism contract: any re-run against the same cache —
@@ -183,19 +175,16 @@ def search_strategy(slug):
 
 
 def reference_search(workload, topology, budgets, space, scheme, cache):
-    """The joint search as one serial loop, the reference for its seeding.
+    """The joint search as one serial loop of independent cell solves.
 
-    Strategy-major, budgets ascending. A cell seeds from its column's
-    latest optimum, cached or solved; failing that, from the previous
-    column's optimum at the same budget. Returns the rows and the count of
-    accepted warm starts that took the cross-strategy seed.
+    Strategy-major, budgets ascending; a cached cell is replayed, any
+    other is solved on its own.
     """
     network = resolve_topology(topology)
     strategies, _ = space.split(network.num_npus, network)
-    rows, previous, crossed_accepted = [], {}, 0
+    rows = []
     for strategy in strategies:
         concrete = tagged_workload(workload, network.num_npus, strategy)
-        warm, optima = None, {}
         for budget in sorted(budgets):
             point = ExplorationPoint(concrete, topology, budget, scheme)
             key = point_key(point)
@@ -203,18 +192,10 @@ def reference_search(workload, topology, budgets, space, scheme, cache):
             if cached is not None:
                 result = replace(cached, point=point, from_cache=True)
             else:
-                seed = warm if warm is not None else previous.get(budget)
-                result = solve_point(point, key=key, warm_start=seed)
+                result = solve_point(point, key=key)
                 cache.put(key, result)
-                crossed_accepted += (
-                    warm is None and seed is not None
-                    and result.warm_start == "accepted"
-                )
             rows.append(result)
-            if result.ok and scheme is not Scheme.EQUAL_BW:
-                warm = optima[budget] = result.bandwidths_gbps
-        previous = optima
-    return rows, crossed_accepted
+    return rows
 
 
 def _prefilled(rows):
@@ -234,25 +215,20 @@ class TestMatchesSerialReference:
             workload, topology, budgets, space=space, scheme=scheme,
             cache=_prefilled(rows),
         )
-        reference, crossed = reference_search(
+        reference = reference_search(
             workload, topology, budgets, space, scheme, _prefilled(rows)
         )
         assert [row.to_dict() for row in search.rows()] == [
             row.to_dict() for row in reference
         ]
-        assert search.diagnostics["cross_warm_accepted"] == crossed
+        assert search.diagnostics["cross_warm_accepted"] == 0
         return search
 
     @pytest.mark.parametrize(
         "scheme", [Scheme.PERF_OPT, Scheme.PERF_PER_COST_OPT]
     )
     def test_smoke_grid(self, scheme):
-        search = self._assert_matches(
-            WORKLOAD, TOPOLOGY, BUDGETS, SPACE, scheme
-        )
-        # Only PerfPerCostOptBW takes a warm start.
-        crossed = search.diagnostics["cross_warm_accepted"]
-        assert crossed >= 1 if scheme is Scheme.PERF_PER_COST_OPT else crossed == 0
+        self._assert_matches(WORKLOAD, TOPOLOGY, BUDGETS, SPACE, scheme)
 
     def test_gpt3_on_a_512_npu_fabric(self):
         search = self._assert_matches(
@@ -263,8 +239,8 @@ class TestMatchesSerialReference:
 
     def test_every_search_order_prefix_of_the_cache(self):
         """A crash after k cells leaves the first k in the cache; the
-        recovered search seeds exactly like the uninterrupted one."""
-        fresh, _ = reference_search(
+        recovered search equals the uninterrupted one."""
+        fresh = reference_search(
             WORKLOAD, TOPOLOGY, BUDGETS, SPACE, Scheme.PERF_PER_COST_OPT,
             ResultCache(),
         )
