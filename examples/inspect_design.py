@@ -7,15 +7,15 @@ follow-up questions with the library's analysis tools:
   bandwidth (`repro.topology.metrics`);
 * **timelines** — the Fig. 9 occupancy picture for the dominant collective,
   drawn from the chunk simulator (`repro.simulator.timeline`);
-* **marginal values** — where the next GB/s helps most, and how flat the
-  optimum is (`repro.core.sensitivity`).
+* **marginal values** — where the next GB/s helps most, and which
+  dimensions co-bottleneck the optimum (`repro.analysis`).
 
 Run:
     python examples/inspect_design.py
 """
 
 from repro import Libra, Scheme, build_workload, gbps, get_topology
-from repro.core import bandwidth_sensitivity
+from repro.analysis import bottleneck_structure
 from repro.simulator import render_timeline, simulate_collective
 from repro.topology import describe_structure
 from repro.training import resolve_workload_comms
@@ -50,11 +50,12 @@ def main() -> None:
 
     print("\n=== marginal value of bandwidth ===")
     expression = libra.combined_expression()
-    report = bandwidth_sensitivity(expression, point.bandwidths)
-    for dim, seconds in enumerate(report.seconds_per_extra_gbps()):
-        marker = "  <- most valuable" if dim == report.most_valuable_dim else ""
-        print(f"dim {dim + 1}: {seconds * 1e3:.4f} ms saved per extra GB/s{marker}")
-    binding = [dim + 1 for dim in report.binding_dims()]
+    structure = bottleneck_structure(expression, point.bandwidths)
+    for dim, marginal in enumerate(structure.marginals):
+        marker = "  <- most valuable" if dim == structure.most_valuable_dim else ""
+        seconds = -marginal * gbps(1)
+        print(f"dim {dim + 1}: {seconds * 1e3:.4f} ms lost per GB/s taken away{marker}")
+    binding = [dim + 1 for dim in structure.binding_dims]
     print(f"binding dimensions (co-bottlenecked): {binding}")
 
 

@@ -41,7 +41,11 @@ def boot_server(cache_root: str):
 
 
 def main() -> None:
-    cache_root = tempfile.mkdtemp(prefix="repro-serve-example-")
+    with tempfile.TemporaryDirectory(prefix="repro-serve-example-") as cache_root:
+        demo(cache_root)
+
+
+def demo(cache_root: str) -> None:
     manager, server, client = boot_server(cache_root)
     print(f"server up at {client.base_url}, healthy={client.healthy()}")
 
@@ -59,6 +63,8 @@ def main() -> None:
     local = LibraService().submit(request)
     assert remote.to_dict() == local.to_dict()
     print(f"\nremote result: {remote.point.describe()}")
+    print(f"certified gap {remote.diagnostics['gap']:.1e} after "
+          f"{remote.diagnostics['iterations']} kernel iterations")
     print("bit-identical to the local facade path: True")
 
     # -- 3. cancel a sweep mid-run, then resume from its cache ----------------
@@ -86,7 +92,7 @@ def main() -> None:
         f"{sweep.cache_hits} served from the cancelled run's cache, "
         f"{sweep.solver_calls} freshly solved"
     )
-    print(f"diagnostics: warm hit rate {resumed.diagnostics['warm_hit_rate']:.0%}, "
+    print(f"diagnostics: {resumed.diagnostics['num_errors']} error rows, "
           f"chains {resumed.diagnostics['profile']['chains']}")
 
     server.shutdown()

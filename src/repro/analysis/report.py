@@ -19,7 +19,14 @@ from repro.utils.errors import ConfigurationError
 from repro.utils.units import GBPS
 
 #: Layout version of the :meth:`AnalysisReport.to_dict` payload.
-ANALYSIS_SCHEMA_VERSION = 1
+#: v2 drops the ``certificate`` object: a solved or cached point carries
+#: the solver's certificate (``AnalyzeResponse.source`` says which), and
+#: an inline point makes no claim. v1 payloads still read, the
+#: certificate ignored.
+ANALYSIS_SCHEMA_VERSION = 2
+
+#: Layout versions :meth:`AnalysisReport.from_dict` reads.
+_READABLE_VERSIONS = (1, ANALYSIS_SCHEMA_VERSION)
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,6 @@ class AnalysisReport:
         attributions: Constraint rows at the point (may be empty).
         wasteless_gbps: Traffic-proportional baseline, or ``None``.
         wasteless_gap_gbps: ``B − baseline`` per dimension, or ``None``.
-        certificate: Direct-re-evaluation optimality certificate.
         whatifs: Evaluated perturbation queries.
     """
 
@@ -59,7 +65,6 @@ class AnalysisReport:
     attributions: tuple[ConstraintAttribution, ...]
     wasteless_gbps: tuple[float, ...] | None
     wasteless_gap_gbps: tuple[float, ...] | None
-    certificate: dict
     whatifs: tuple[WhatIfResult, ...]
 
     def to_dict(self) -> dict:
@@ -84,7 +89,6 @@ class AnalysisReport:
                 None if self.wasteless_gap_gbps is None
                 else list(self.wasteless_gap_gbps)
             ),
-            "certificate": dict(self.certificate),
             "whatifs": [result.to_dict() for result in self.whatifs],
         }
 
@@ -95,10 +99,10 @@ class AnalysisReport:
                 f"analysis payload must be a mapping, got {type(payload).__name__}"
             )
         version = payload.get("analysis_schema_version")
-        if version != ANALYSIS_SCHEMA_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise ConfigurationError(
                 f"unsupported analysis_schema_version {version!r} "
-                f"(this release reads {ANALYSIS_SCHEMA_VERSION})"
+                f"(this release reads {_READABLE_VERSIONS})"
             )
         try:
             return cls(
@@ -131,7 +135,6 @@ class AnalysisReport:
                     None if payload.get("wasteless_gap_gbps") is None
                     else tuple(float(v) for v in payload["wasteless_gap_gbps"])
                 ),
-                certificate=dict(payload["certificate"]),
                 whatifs=tuple(
                     WhatIfResult.from_dict(row) for row in payload["whatifs"]
                 ),
@@ -166,7 +169,6 @@ def build_report(
         wasteless_gap_gbps=(
             None if gap is None else tuple(b / GBPS for b in gap)
         ),
-        certificate=dict(structure.certificate),
         whatifs=tuple(whatifs),
     )
 
@@ -181,7 +183,6 @@ def format_report(report: AnalysisReport) -> str:
         f"{'dim':>3}  {'GB/s':>9}  {'dT/dGBps':>11}  {'kink gap':>10}  "
         f"{'wasteless':>9}  {'gap':>8}  flags"
     )
-    certified = report.certificate.get("certified")
     for dim, bandwidth in enumerate(report.bandwidths_gbps):
         flags = []
         if dim in report.binding_dims:
@@ -202,15 +203,6 @@ def format_report(report: AnalysisReport) -> str:
             f"{report.kink_gaps_per_gbps[dim]:10.3e}  "
             f"{wasteless}  {gap}  {' '.join(flags)}"
         )
-    lines.append("")
-    lines.append(
-        "optimum certificate: "
-        + (
-            "certified"
-            if certified
-            else f"improvable (best gain {report.certificate.get('best_gain', 0):.2e})"
-        )
-    )
     binding_rows = [row for row in report.attributions if row.binding]
     if binding_rows:
         lines.append("")

@@ -6,7 +6,7 @@ Given the training-time expression and a bandwidth vector, it computes:
 * the **binding set** — kink-aware, via one-sided backward differences
   (at a water-filling optimum the backward slope is the real price of
   losing bandwidth; the forward slope is ~0 on every loaded dimension);
-* the per-dimension **kink gap** (``backward − forward`` slope), a direct
+* the per-dimension **kink gap** (``forward − backward`` slope), a direct
   detector of which dimensions sit on a water-filling kink;
 * **constraint-row attribution** — every row of the compiled
   :class:`~repro.core.kernel.ConstraintBlocks` (designer equalities and
@@ -18,6 +18,11 @@ Given the training-time expression and a bandwidth vector, it computes:
 * the **wasteless-baseline gap** — distance from the traffic-proportional
   allocation, the exact optimum of a single collective under a pure
   budget (the water-filling seed of ``core/solver.py``).
+
+Both slopes come from the memoized
+:func:`~repro.training.expr.vector_evaluator` the what-ifs use. The
+analysis makes no claim of optimality: a solved or cached point carries
+the solver's certificate, and an inline point none.
 
 Everything here is read-only over ``core``: it compiles the same cached
 programs the solver uses and never mutates solver state.
@@ -31,10 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.constraints import ConstraintSet
-from repro.core.sensitivity import (
-    bandwidth_sensitivity,
-    certify_optimum,
-)
+from repro.core.sensitivity import _validated_point
 from repro.core.solver import (
     _SCALE,
     _proportional_split,
@@ -42,11 +44,18 @@ from repro.core.solver import (
     compile_expression,
     traffic_totals,
 )
-from repro.training.expr import Expr
+from repro.training.expr import Expr, vector_evaluator
 from repro.utils.errors import ConfigurationError
 
 #: Relative slack below which a constraint row counts as binding.
 ROW_BINDING_RTOL = 1e-6
+
+#: Finite-difference step of the marginals, as a share of each bandwidth.
+RELATIVE_STEP = 1e-4
+
+#: A dimension binds when its backward marginal is within this relative
+#: share of the most negative one.
+BINDING_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -112,7 +121,6 @@ class BottleneckStructure:
             when no constraint set was supplied).
         wasteless: Traffic-proportional baseline allocation, bytes/s
             (``None`` when the expression moves no traffic).
-        certificate: Direct-re-evaluation optimality certificate payload.
     """
 
     bandwidths: tuple[float, ...]
@@ -124,7 +132,6 @@ class BottleneckStructure:
     transfer_matrix: tuple[tuple[float, ...], ...]
     attributions: tuple[ConstraintAttribution, ...]
     wasteless: tuple[float, ...] | None
-    certificate: dict
 
     @property
     def most_valuable_dim(self) -> int:
@@ -269,12 +276,27 @@ def wasteless_baseline(
     return tuple(float(v) for v in split)
 
 
+def _one_sided_slopes(
+    expression: Expr, point: np.ndarray
+) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """Step time at ``point`` and its backward and forward ``dT/dB_i``."""
+    evaluate = vector_evaluator(expression)
+    base = evaluate(point)
+    backward, forward = [], []
+    for dim in range(point.size):
+        step = float(point[dim]) * RELATIVE_STEP
+        moved = point.copy()
+        moved[dim] = point[dim] - step
+        backward.append((base - evaluate(moved)) / step)
+        moved[dim] = point[dim] + step
+        forward.append((evaluate(moved) - base) / step)
+    return base, tuple(backward), tuple(forward)
+
+
 def bottleneck_structure(
     expression: Expr,
     bandwidths: Sequence[float],
     constraints: ConstraintSet | None = None,
-    relative_step: float = 1e-4,
-    binding_tolerance: float = 0.05,
 ) -> BottleneckStructure:
     """Compute the full bottleneck structure at one point.
 
@@ -285,20 +307,15 @@ def bottleneck_structure(
         constraints: The designer constraint set the point was solved
             under. Optional — without it, row attribution is empty and
             the wasteless baseline uses the point's own total.
-        relative_step: Finite-difference step for the marginals.
-        binding_tolerance: Relative tolerance of the marginal binding set.
     """
-    point = np.asarray(bandwidths, dtype=float)
-    backward = bandwidth_sensitivity(
-        expression, point, relative_step, mode="backward"
+    point = _validated_point(bandwidths)
+    step_time, marginals, forward = _one_sided_slopes(expression, point)
+    best = min(marginals)
+    binding = () if best >= 0.0 else tuple(
+        dim for dim, value in enumerate(marginals)
+        if value <= best * (1 - BINDING_TOLERANCE)
     )
-    forward = bandwidth_sensitivity(
-        expression, point, relative_step, mode="forward"
-    )
-    marginals = backward.marginals
-    transfer = tuple(
-        tuple(float(mi - mj) for mj in marginals) for mi in marginals
-    )
+    transfer = tuple(tuple(mi - mj for mj in marginals) for mi in marginals)
 
     attributions: tuple[ConstraintAttribution, ...] = ()
     if constraints is not None:
@@ -312,18 +329,14 @@ def bottleneck_structure(
         x = np.concatenate([scaled, program.initial_aux(scaled)])
         attributions = _attribute_rows(program, constraints, x)
 
-    certificate = certify_optimum(expression, point, constraints=constraints)
     return BottleneckStructure(
         bandwidths=tuple(float(v) for v in point),
-        step_time=backward.step_time,
+        step_time=step_time,
         marginals=marginals,
-        forward_marginals=forward.marginals,
-        kink_gaps=tuple(
-            float(f - b) for f, b in zip(forward.marginals, marginals)
-        ),
-        binding_dims=backward.binding_dims(binding_tolerance),
+        forward_marginals=forward,
+        kink_gaps=tuple(f - b for f, b in zip(forward, marginals)),
+        binding_dims=binding,
         transfer_matrix=transfer,
         attributions=attributions,
         wasteless=wasteless_baseline(expression, point, constraints),
-        certificate=certificate.to_dict(),
     )

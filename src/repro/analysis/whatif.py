@@ -33,6 +33,9 @@ from repro.utils.units import GBPS
 #: Operations a :class:`WhatIfQuery` can express.
 WHATIF_OPS = ("scale", "move", "budget")
 
+#: The factor each default probe scales its dimension by.
+DEFAULT_SCALE_FACTOR = 1.1
+
 
 def _memo_hit_counter():
     return obs_metrics.get_registry().counter(
@@ -272,10 +275,9 @@ class WhatIfMemo:
             }
 
 
-def default_queries(
-    num_dims: int, scale_factor: float = 1.1
-) -> tuple[WhatIfQuery, ...]:
-    """The standard per-dimension probes: scale each dim by ``factor``.
+def default_queries(num_dims: int) -> tuple[WhatIfQuery, ...]:
+    """The standard per-dimension probes: scale each dim by
+    :data:`DEFAULT_SCALE_FACTOR`.
 
     :func:`evaluate_whatifs` appends budget ±10% probes sized from the
     point's own total, making the full default set deterministic
@@ -283,7 +285,7 @@ def default_queries(
     are memo hits end to end.
     """
     return tuple(
-        WhatIfQuery(op="scale", dim=dim, factor=scale_factor)
+        WhatIfQuery(op="scale", dim=dim, factor=DEFAULT_SCALE_FACTOR)
         for dim in range(num_dims)
     )
 

@@ -190,10 +190,11 @@ class OptimizeResponse:
         ppc_gain_over_baseline: ``(T·C)_base / (T·C)_point``; ``None``
             without a baseline.
         diagnostics: Solver telemetry for solve requests (``None`` for
-            EqualBW and explicit evaluations): ``starts`` — the kernel
-            runs the solve took (always 1). Responses written before
-            request schema v6 may also carry ``max_starts``,
-            ``warm_start`` and ``warm_source``.
+            EqualBW and explicit evaluations): ``gap`` — the certified
+            relative primal–dual gap — and ``iterations`` — the kernel
+            run's Newton steps. Earlier responses carry ``starts`` (always
+            1) instead, and those written before request schema v6 also
+            ``max_starts``, ``warm_start`` and ``warm_source``.
     """
 
     scenario_key: str
@@ -221,7 +222,7 @@ class OptimizeResponse:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "OptimizeResponse":
-        """Rebuild a response from :meth:`to_dict` output (v2 or v3)."""
+        """Rebuild a response from :meth:`to_dict` output (v2–v5)."""
         check_schema_version(payload, _READABLE_RESPONSE_VERSIONS, "response")
         try:
             baseline = payload.get("baseline")
@@ -481,8 +482,9 @@ class AnalyzeResponse:
         scheme: Scheme of the analyzed point.
         report: The bottleneck-structure + what-if report.
         source: How the target point was obtained — ``"cache"`` (a cached
-            sweep cell), ``"inline"`` (explicit bandwidths), or
-            ``"solve"`` (the service solved/memo-served the optimum).
+            sweep cell) or ``"solve"`` (a fresh solve), both of which
+            carry the solver's certificate, or ``"inline"`` (explicit
+            bandwidths, which make no claim of optimality).
         memo_hit: True when the whole response came from the service's
             analyze memo (no re-computation at all).
         diagnostics: What-if memo accounting and resolution telemetry.

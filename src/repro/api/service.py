@@ -263,8 +263,8 @@ class LibraService:
         between sweep cells (a true return
         raises
         :class:`~repro.utils.errors.JobCancelled`). ``on_event`` receives
-        structured progress dicts — the solver's run count for single
-        solves, per-cell/per-chain events for batches — which
+        structured progress dicts — the plan, per-cell and per-chain
+        events of batches and costrategy searches — which
         :class:`repro.serve.JobManager` turns into streamed
         ``ProgressEvent``\\ s.
         """
@@ -286,9 +286,7 @@ class LibraService:
             return self._submit_costrategy(
                 request, should_stop=should_stop, on_event=on_event
             )
-        return self._submit_optimize(
-            request, should_stop=should_stop, on_event=on_event
-        )
+        return self._submit_optimize(request, should_stop=should_stop)
 
     # -- single requests -----------------------------------------------------
 
@@ -296,7 +294,6 @@ class LibraService:
         self,
         request: OptimizeRequest,
         should_stop: Callable[[], bool] | None = None,
-        on_event: Callable[[dict], None] | None = None,
     ) -> OptimizeResponse:
         scenario = request.scenario
         engine = self.engine(scenario)
@@ -313,9 +310,10 @@ class LibraService:
                 request.scheme, scenario.constraints, should_stop=should_stop
             )
             if solver_result is not None:
-                diagnostics = {"starts": solver_result.starts}
-                if on_event is not None:
-                    on_event({"type": "solve", **diagnostics})
+                diagnostics = {
+                    "gap": solver_result.gap,
+                    "iterations": solver_result.iterations,
+                }
 
         baseline = None
         if (

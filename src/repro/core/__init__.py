@@ -30,15 +30,7 @@ from repro.core.framework import Libra
 from repro.core.group import GroupStudyResult, run_group_study
 from repro.core.kernel import ConstraintBlocks
 from repro.core.results import DesignPoint, Scheme
-from repro.core.sensitivity import (
-    OptimalityCertificate,
-    SensitivityReport,
-    audit_solution,
-    bandwidth_sensitivity,
-    certify_optimum,
-    dual_bound,
-    one_sided_gap,
-)
+from repro.core.sensitivity import audit_solution, dual_bound
 from repro.core.solver import (
     CompiledProgram,
     SolverResult,
@@ -66,13 +58,8 @@ __all__ = [
     "GroupStudyResult",
     "run_group_study",
     "DesignPoint",
-    "OptimalityCertificate",
-    "SensitivityReport",
     "audit_solution",
-    "bandwidth_sensitivity",
-    "certify_optimum",
     "dual_bound",
-    "one_sided_gap",
     "Scheme",
     "CompiledProgram",
     "ConstraintBlocks",

@@ -34,12 +34,15 @@ same optimization with numpy, in three layers:
 
 Each scheme is one kernel run from one deterministic start, so an answer
 depends only on the expression, the constraint set and the cost rates.
-Both share one compiled-program form and one matrix-form constraint-block
-builder. Answers are checked without a second solver: the returned
-objective is a direct re-evaluation of the expression, and
-:func:`repro.core.sensitivity.audit_solution` is the optimality oracle the
-tests and ``repro bench`` share (a dual bound re-derived from the returned
-multipliers, for both schemes).
+The certified gap is the program's one claim of optimality: a run whose
+gap exceeds :data:`~repro.core.kernel.CERTIFIED_GAP` raises
+:class:`~repro.utils.errors.OptimizationError`, so every answer that
+exists is certified. Both share one compiled-program form and one
+matrix-form constraint-block builder. Answers are checked without a
+second solver: the returned objective is a direct re-evaluation of the
+expression, and :func:`repro.core.sensitivity.audit_solution` is the
+optimality oracle the tests and ``repro bench`` share (a dual bound
+re-derived from the returned multipliers, for both schemes).
 
 A memoization tier keyed on the frozen expression —
 :func:`compile_expression`, :func:`perspective_expression`,
@@ -440,34 +443,35 @@ def interior_start(expr: Expr, constraints: ConstraintSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverResult:
-    """Outcome of one bandwidth optimization.
+    """Outcome of one bandwidth optimization; it exists only certified.
 
     Attributes:
         bandwidths: Optimal per-dimension bandwidths, bytes/s.
         objective: Final objective value (seconds for PerfOpt; seconds ×
             dollars for PerfPerCost), re-evaluated at ``bandwidths``.
-        success: The certified gap is at most
-            :data:`~repro.core.kernel.CERTIFIED_GAP`.
-        message: The interior-point run's status.
-        starts: Number of kernel runs: always 1.
-        warm_start: Always ``""``; e2ebench/layers.py (line 71,
-            ``_solve_outcome``) still reads it.
+        message: The interior-point run's status, iterations and gap.
         gap: The certified relative primal–dual gap,
-            ``(primal − dual) / primal``.
+            ``(primal − dual) / primal``, at most
+            :data:`~repro.core.kernel.CERTIFIED_GAP`.
+        iterations: Newton steps of the kernel run (0 for a
+            bandwidth-independent objective, which needs no run).
         multipliers: The Lagrange multipliers that certify the gap, one
             per row of the solved program's constraint blocks in block row
             order: :func:`build_constraint_blocks` for PerfOpt,
             :func:`perspective_program` for PerfPerCost.
+        starts: Always 1, and ``warm_start`` always ``""``:
+            e2ebench/layers.py (line 71, ``_solve_outcome``) still reads
+            both.
     """
 
     bandwidths: tuple[float, ...]
     objective: float
-    success: bool
     message: str
-    starts: int
+    gap: float
+    iterations: int
+    multipliers: tuple[float, ...]
+    starts: int = 1
     warm_start: str = ""
-    gap: float | None = None
-    multipliers: tuple[float, ...] = ()
 
 
 def _stack_blocks(
@@ -732,7 +736,6 @@ def _observed_solve(scheme: str):
             begin = time.perf_counter()
             with tracer.span("solve", attrs={"scheme": scheme}) as span:
                 result = fn(*args, **kwargs)
-                span.set("starts", result.starts)
                 span.set("objective", result.objective)
                 span.set("gap", result.gap)
             elapsed = time.perf_counter() - begin
@@ -741,11 +744,6 @@ def _observed_solve(scheme: str):
                 "Solver entry-point solves by scheme.",
                 labels=("scheme",),
             ).labels(scheme=scheme).inc()
-            registry.counter(
-                obs_names.SOLVER_STARTS,
-                "Kernel runs by scheme.",
-                labels=("scheme",),
-            ).labels(scheme=scheme).inc(result.starts)
             registry.histogram(
                 obs_names.SOLVER_SECONDS,
                 "Wall time of one solver entry-point call.",
@@ -780,14 +778,16 @@ def _result(
     objective_at: Callable[[np.ndarray], float],
     run,
 ) -> SolverResult:
-    """The run's answer, held to the designer constraint set.
+    """The run's answer, held to the designer constraint set and certified.
 
     The kernel's active inequality rows can end a round-off below zero,
     and a row bounded by zero (an ordering) is checked to an absolute
     :data:`FEASIBILITY_TOLERANCE` bytes/s. Such a point moves toward the
     strictly feasible ``start`` by the smallest of :data:`_ROUND_OFF_PULLS`
     that satisfies every row, and the certified gap is re-stated for the
-    moved point against the same dual bound.
+    moved point against the same dual bound. An answer whose gap exceeds
+    :data:`~repro.core.kernel.CERTIFIED_GAP` raises
+    :class:`OptimizationError`: no uncertified answer leaves the solver.
     """
     objective = objective_at(bandwidths)
     gap = run.gap
@@ -803,16 +803,20 @@ def _result(
         bound = (1.0 - gap) * objective
         bandwidths, objective = moved, objective_at(moved)
         gap = 1.0 - bound / objective
+    message = (
+        f"interior point: {run.status} after {run.iterations} "
+        f"iterations, gap {gap:.1e}"
+    )
+    if not gap <= CERTIFIED_GAP:
+        raise OptimizationError(
+            f"uncertified answer ({message}, above {CERTIFIED_GAP:.0e})"
+        )
     return SolverResult(
         bandwidths=tuple(float(b) for b in bandwidths),
         objective=objective,
-        success=gap <= CERTIFIED_GAP,
-        message=(
-            f"interior point: {run.status} after {run.iterations} "
-            f"iterations, gap {gap:.1e}"
-        ),
-        starts=1,
-        gap=gap,
+        message=message,
+        gap=float(gap),
+        iterations=run.iterations,
         multipliers=tuple(run.multipliers.tolist()),
     )
 
@@ -825,10 +829,9 @@ def _constant_result(
     return SolverResult(
         bandwidths=tuple(float(b) for b in start),
         objective=objective,
-        success=True,
         message="bandwidth-independent objective",
-        starts=1,
         gap=0.0,
+        iterations=0,
         multipliers=(0.0,) * blocks.num_rows,
     )
 
@@ -843,7 +846,8 @@ def minimize_training_time(
 
     One interior-point run from :func:`interior_start`. The answer depends
     only on ``expr`` and ``constraints``. The result carries the run's
-    multipliers and certified gap, and ``starts`` is 1.
+    multipliers and certified gap; a run that ends uncertified raises
+    :class:`OptimizationError`.
 
     Args:
         expr: Training-time expression.
@@ -881,8 +885,8 @@ def minimize_time_cost_product(
     One interior-point run over the perspective program
     (:func:`perspective_program`), which is convex although time × cost
     is bilinear in ``B``. The result carries the run's multipliers (in
-    the perspective program's row order) and certified gap, and
-    ``starts`` is 1.
+    the perspective program's row order) and certified gap; a run that
+    ends uncertified raises :class:`OptimizationError`.
 
     Args:
         expr: Training-time expression.

@@ -11,8 +11,9 @@ next — so rows are assembled back in grid order and serial, parallel and
 cached runs of the same spec, in any point order and with any subset of
 the cells cached, are byte-identical except for wall-clock time.
 
-Failure containment: a cell that cannot be built or solved becomes an error
-row (``ExplorationResult.error`` set), never a sweep abort. *Transient*
+Failure containment: a cell that cannot be built or solved, or whose
+answer the solver cannot certify, becomes an error row
+(``ExplorationResult.error`` set), never a sweep abort. *Transient*
 failures retry first — :class:`~repro.utils.errors.TransientError` cells
 re-attempt in place (:data:`CELL_RETRY_ATTEMPTS`, exponential backoff) and
 a chain whose pool worker died requeues on a fresh pool
@@ -188,7 +189,6 @@ def solve_point(
                 should_stop=should_stop,
             )
             optimized = response.point
-            diagnostics = response.diagnostics or {}
             return ExplorationResult(
                 point=point,
                 key=key,
@@ -201,7 +201,6 @@ def solve_point(
                 speedup_over_equal=response.speedup_over_baseline or 0.0,
                 ppc_gain_over_equal=response.ppc_gain_over_baseline or 0.0,
                 solver_message=optimized.solver_message,
-                solver_starts=int(diagnostics.get("starts", 0)),
             )
         except JobCancelled:
             raise

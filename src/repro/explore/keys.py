@@ -33,7 +33,9 @@ from repro.explore.spec import ExplorationPoint
 #: v4: PerfPerCostOptBW cells are one certified interior-point run over the
 #: perspective program and no cell is warm-started, so cached SLSQP
 #: PerfPerCost rows are not replayed.
-ENGINE_VERSION = 4
+#: v5: an answer whose gap exceeds the certified bound is an error row,
+#: never cached, so no row solved under the old rule is replayed.
+ENGINE_VERSION = 5
 
 
 def point_constraints(point: ExplorationPoint, num_dims: int) -> ConstraintSet:

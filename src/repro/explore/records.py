@@ -34,9 +34,8 @@ class ExplorationResult:
         network_cost: Dollar cost of the optimized network.
         speedup_over_equal: Training speedup vs the EqualBW baseline.
         ppc_gain_over_equal: Perf-per-cost gain vs the EqualBW baseline.
-        solver_message: Optimizer diagnostics.
-        solver_starts: Kernel runs of the solve, 1 (0 when no solver ran,
-            e.g. EqualBW rows).
+        solver_message: The solver's status, iterations and certified
+            gap (empty when no solver ran, e.g. EqualBW rows).
         error: Failure description; empty for successful solves.
         from_cache: True when this run served the row from the cache.
     """
@@ -49,7 +48,6 @@ class ExplorationResult:
     speedup_over_equal: float = 0.0
     ppc_gain_over_equal: float = 0.0
     solver_message: str = ""
-    solver_starts: int = 0
     error: str = ""
     from_cache: bool = False
 
@@ -84,14 +82,17 @@ class ExplorationResult:
             "speedup_over_equal": self.speedup_over_equal,
             "ppc_gain_over_equal": self.ppc_gain_over_equal,
             "solver_message": self.solver_message,
-            "solver_starts": self.solver_starts,
             "error": self.error,
             "from_cache": self.from_cache,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ExplorationResult":
-        """Rebuild a result row from :meth:`to_dict` output."""
+        """Rebuild a result row from :meth:`to_dict` output.
+
+        Keys this release does not write, such as the kernel-run count
+        rows of earlier releases carry, are ignored.
+        """
         try:
             return cls(
                 point=ExplorationPoint.from_dict(payload["point"]),
@@ -107,7 +108,6 @@ class ExplorationResult:
                 speedup_over_equal=float(payload.get("speedup_over_equal", 0.0)),
                 ppc_gain_over_equal=float(payload.get("ppc_gain_over_equal", 0.0)),
                 solver_message=str(payload.get("solver_message", "")),
-                solver_starts=int(payload.get("solver_starts", 0)),
                 error=str(payload.get("error", "")),
                 from_cache=bool(payload.get("from_cache", False)),
             )

@@ -14,10 +14,8 @@ job ids or paths).
 from __future__ import annotations
 
 # -- solver (core/solver.py) -------------------------------------------------
-#: Counter{scheme=perf|ppc}: entry-point solves.
+#: Counter{scheme=perf|ppc}: entry-point solves (one kernel run each).
 SOLVER_SOLVES = "repro_solver_solves_total"
-#: Counter{scheme}: kernel runs (one per entry-point solve).
-SOLVER_STARTS = "repro_solver_starts_total"
 #: Histogram{scheme}: wall time of one entry-point solve.
 SOLVER_SECONDS = "repro_solver_solve_seconds"
 
@@ -115,7 +113,6 @@ HTTP_SECONDS = "repro_http_request_seconds"
 #: they register only on ``--fleet`` servers, which that test does not run.)
 REQUIRED_FAMILIES = (
     SOLVER_SOLVES,
-    SOLVER_STARTS,
     SOLVER_SECONDS,
     SERVICE_REQUESTS,
     SERVICE_ENGINE_MEMO,

@@ -9,7 +9,7 @@ accessor::
 
     with trace.get_tracer().span("solve", attrs={"scheme": "perf"}) as sp:
         ...
-        sp.set("starts", result.starts)
+        sp.set("gap", result.gap)
 
 Nesting is implicit: spans opened while another span is active on the
 same thread become its children (tracked per-thread, so concurrent

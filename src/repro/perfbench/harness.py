@@ -5,8 +5,8 @@ Table-II scale, never a synthetic kernel:
 
 * ``solver_perf`` / ``solver_perf_per_cost`` — one full
   ``minimize_training_time`` / ``minimize_time_cost_product`` call, timed
-  cold (caches cleared before each repetition) and warm (memoization tier
-  populated).
+  with the memoization tier cleared before each repetition
+  (``memo_cleared_s``) and with it populated (``memo_hit_s``).
 * ``compile_memo`` — cold vs. warm ``simplify`` + ``compile_expression`` +
   ``traffic_totals``, demonstrating the memoization tier.
 * ``sweep`` — a small cached ``run_sweep`` grid through the explore engine.
@@ -49,7 +49,10 @@ from repro.utils.units import gbps
 #: Bump when the BENCH_solver.json layout changes.
 #: v2: one solver kernel — no ``closures_s`` / ``speedup_*`` /
 #: ``equivalence``; records carry the oracle-checked ``objective``.
-BENCH_SCHEMA_VERSION = 2
+#: v3: the solver records' ``vectorized_cold_s`` / ``vectorized_warm_s``
+#: are ``memo_cleared_s`` / ``memo_hit_s``, named after what differs
+#: between them.
+BENCH_SCHEMA_VERSION = 3
 
 
 class BenchEquivalenceError(ReproError):
@@ -132,7 +135,8 @@ def _time_solves(solve, repeats: int, cold: bool) -> tuple[float, Any]:
 
 
 def bench_solver(config: BenchConfig) -> list[dict]:
-    """Cold and warm end-to-end solver timings, gated on the oracle."""
+    """End-to-end solver timings with the memo tier cleared and warm,
+    gated on the oracle."""
     expression, make_constraints, rates = _build_problem(config)
     schemes = [
         (
@@ -150,8 +154,8 @@ def bench_solver(config: BenchConfig) -> list[dict]:
     ]
     records = []
     for name, solve, cost_rates in schemes:
-        cold_s, result = _time_solves(solve, config.repeats, cold=True)
-        warm_s, _ = _time_solves(solve, config.repeats, cold=False)
+        cleared_s, result = _time_solves(solve, config.repeats, cold=True)
+        hit_s, _ = _time_solves(solve, config.repeats, cold=False)
         faults = audit_solution(
             expression, make_constraints(), result, cost_rates=cost_rates
         )
@@ -162,8 +166,8 @@ def bench_solver(config: BenchConfig) -> list[dict]:
         records.append(
             {
                 "name": name,
-                "vectorized_cold_s": cold_s,
-                "vectorized_warm_s": warm_s,
+                "memo_cleared_s": cleared_s,
+                "memo_hit_s": hit_s,
                 "objective": result.objective,
             }
         )
@@ -176,16 +180,23 @@ def audit_cells(rows) -> dict:
     Rows carry no multipliers, so each PerfOpt or PerfPerCost cell is
     solved again from its own scenario. The fresh answer must equal the
     row, since a cell depends on its content alone, and must pass the
-    optimality oracle. Raises :class:`BenchEquivalenceError` on the first
-    fault; returns the audited cell count and the largest certified gap.
+    optimality oracle. An error row is a fault too: a benchmark grid
+    holds no cell the solver may leave unanswered, and an answer the
+    solver cannot certify is an error row. Raises
+    :class:`BenchEquivalenceError` on the first fault; returns the
+    audited cell count and the largest certified gap.
     """
     from repro.explore.executor import point_scenario
 
     service = get_service()
     audited, max_gap = 0, 0.0
     for row in rows:
+        if not row.ok:
+            raise BenchEquivalenceError(
+                f"{row.point.label()} has no answer: {row.error}"
+            )
         scheme = row.point.scheme
-        if not row.ok or scheme is Scheme.EQUAL_BW:
+        if scheme is Scheme.EQUAL_BW:
             continue
         scenario = point_scenario(row.point)
         engine = service.engine(scenario)
@@ -323,8 +334,8 @@ def format_report(artifact: dict) -> str:
         name = bench["name"]
         if name.startswith("solver_"):
             lines.append(
-                f"{name:<22} {bench['vectorized_cold_s'] * 1e3:>8.1f}ms "
-                f"{bench['vectorized_warm_s'] * 1e3:>8.1f}ms"
+                f"{name:<22} {bench['memo_cleared_s'] * 1e3:>8.1f}ms "
+                f"{bench['memo_hit_s'] * 1e3:>8.1f}ms"
                 f"  oracle ok (objective {bench['objective']:.6g})"
             )
         elif name == "compile_memo":

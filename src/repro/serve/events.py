@@ -11,8 +11,6 @@ observation never degrades. Event *kinds* partition the stream:
 
 * ``"state"`` — a lifecycle transition (``data["state"]`` is the new
   :class:`~repro.serve.jobs.JobState` value; failures carry ``error``).
-* ``"solve"`` — a single solve finished inside the job (``starts``, the
-  kernel runs it took).
 * ``"plan"`` — a sweep's execution plan after cache lookup (``total``,
   ``cached``, ``chains``, ``solver_calls``, ``fanout_cells``).
 * ``"cell"`` — one sweep grid cell resolved (``done``/``total``,
@@ -24,7 +22,9 @@ The ``plan`` / ``cell`` / ``chain`` payloads are exactly the dicts the
 explore executor reports through its callback seam
 (:data:`repro.explore.executor.EventCallback`) — the manager stamps
 identity (job id, sequence, wall-clock time) on top rather than
-re-shaping them.
+re-shaping them. An optimize job's solve shows in its result's
+``diagnostics`` (the certified gap and the kernel's iterations), not as
+an event.
 """
 
 from __future__ import annotations
@@ -39,12 +39,13 @@ from repro.utils.errors import ConfigurationError
 EVENT_SCHEMA_VERSION = RESPONSE_SCHEMA_VERSION
 
 #: Event kinds, in rough emission order within a job.
-EVENT_KINDS = ("state", "solve", "plan", "cell", "chain")
+EVENT_KINDS = ("state", "plan", "cell", "chain")
 
 #: Kinds earlier builds emitted and nothing emits now. Only decoding
 #: accepts them, so persisted logs stay replayable: ``strategy`` bracketed
-#: each strategy column of a costrategy job.
-RETIRED_EVENT_KINDS = ("strategy",)
+#: each strategy column of a costrategy job, and ``solve`` reported an
+#: optimize job's kernel runs (``starts``, always 1).
+RETIRED_EVENT_KINDS = ("strategy", "solve")
 
 
 @dataclass(frozen=True)

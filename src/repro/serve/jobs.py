@@ -55,7 +55,7 @@ from repro.api.requests import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import names as obs_names
-from repro.serve.events import ProgressEvent
+from repro.serve.events import EVENT_KINDS, ProgressEvent
 from repro.utils.canonical import digest
 from repro.utils.errors import ConfigurationError, JobCancelled, ReproError
 
@@ -241,7 +241,11 @@ class JobRecord:
 
         The log is a bounded ring (:data:`EVENT_LOG_LIMIT`): sequence
         numbers keep counting, the oldest retained events fall off.
+        Only :data:`~repro.serve.events.EVENT_KINDS` are emitted; a
+        retired kind is only ever decoded from an earlier build's log.
         """
+        if kind not in EVENT_KINDS:
+            raise ConfigurationError(f"job {self.id}: cannot emit {kind!r}")
         event = ProgressEvent(
             seq=self.next_seq,
             job_id=self.id,

@@ -738,7 +738,7 @@ class JobManager:
 
         def on_event(payload: dict) -> None:
             data = dict(payload)
-            kind = data.pop("type", "solve")
+            kind = data.pop("type")
             with record.cond:
                 record.emit(kind, data)
 

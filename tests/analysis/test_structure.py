@@ -14,9 +14,11 @@ from repro.analysis import (
 )
 from repro.analysis.report import AnalysisReport
 from repro.api import AnalyzeRequest, LibraService, OptimizeRequest, build_scenario
-from repro.core import certify_optimum
+from repro.core import ConstraintSet, minimize_training_time
+from repro.core.kernel import CERTIFIED_GAP
 from repro.topology import EVALUATION_TOPOLOGIES
-from repro.utils.errors import MappingError
+from repro.training.expr import CommTerm, Const, Sum, vector_evaluator
+from repro.utils.errors import ConfigurationError, MappingError
 from repro.utils.units import gbps
 from repro.workloads import workload_names
 
@@ -44,8 +46,18 @@ PAIRS = [
 ]
 
 
+#: One collective whose water-filling optimum under a 450 GB/s budget
+#: loads every dimension.
+WATER_FILLING = CommTerm(((0, gbps(300)), (1, gbps(120)), (2, gbps(30))))
+
+
+def _water_filling_optimum():
+    constraints = ConstraintSet(3).with_total_bandwidth(gbps(450))
+    return minimize_training_time(WATER_FILLING, constraints).bandwidths
+
+
 class TestBindingSetAgreement:
-    """The binding set must agree with direct-re-evaluation optimality on
+    """The binding set must agree with the solver's certified optimum on
     every preset topology × Table-II workload pair."""
 
     @pytest.mark.parametrize("topology,workload", PAIRS)
@@ -56,12 +68,9 @@ class TestBindingSetAgreement:
             structure, response = _structure_at_optimum(topology, workload)
         except MappingError as exc:
             pytest.skip(f"unmappable pair: {exc}")
-        # The solver's optimum certifies under direct re-evaluation: no
-        # pairwise bandwidth transfer improves the step time.
-        assert structure.certificate["certified"], (
-            f"{workload} on {topology}: best transfer gain "
-            f"{structure.certificate['best_gain']:.3e}"
-        )
+        # The analyzed point is the solver's answer, which exists only
+        # certified.
+        assert response.diagnostics["gap"] <= CERTIFIED_GAP
         # The binding set is non-empty and contains the most valuable
         # dimension (the most negative backward marginal).
         assert structure.binding_dims
@@ -73,52 +82,59 @@ class TestBindingSetAgreement:
         step = max(structure.step_time, 1.0)
         assert all(g >= -1e-6 * step for g in structure.kink_gaps)
 
-    def test_certificate_rejects_perturbed_point(self):
+    @pytest.mark.parametrize(
+        "case", ["const", "one-collective", "max-of-two", "water-filling"]
+    )
+    def test_marginals_and_binding_set(self, case):
+        """Backward marginals and the binding set on known expressions: a
+        constant has none; ``coeff/B`` has slope ``−coeff/B²``; only the
+        bottleneck dimension of a max binds; at a water-filling optimum
+        every loaded dimension binds: taking bandwidth from any one costs
+        ``T/B_i`` per byte/s, while adding it to one alone buys nothing."""
+        coeff = gbps(100)
+        if case == "const":
+            structure = bottleneck_structure(Const(5.0), [gbps(100)] * 2)
+            assert structure.marginals == (0.0, 0.0)
+            assert structure.binding_dims == ()
+        elif case == "one-collective":
+            structure = bottleneck_structure(
+                CommTerm(((0, coeff),)), [gbps(50)]
+            )
+            assert structure.marginals[0] == pytest.approx(
+                -coeff / gbps(50) ** 2, rel=1e-3
+            )
+            assert structure.binding_dims == (0,)
+        elif case == "max-of-two":
+            structure = bottleneck_structure(
+                CommTerm(((0, coeff), (1, gbps(1)))), [gbps(10)] * 2
+            )
+            assert structure.marginals[0] < 0 and structure.marginals[1] == 0.0
+            assert structure.binding_dims == (0,)
+        else:
+            point = _water_filling_optimum()
+            structure = bottleneck_structure(WATER_FILLING, point)
+            for bandwidth, backward, forward in zip(
+                point, structure.marginals, structure.forward_marginals
+            ):
+                assert -backward * bandwidth == pytest.approx(
+                    structure.step_time, rel=1e-3
+                )
+                assert abs(forward) < 1e-6 * abs(backward)
+            assert structure.binding_dims == (structure.most_valuable_dim,)
+
+    def test_rejects_points_that_are_not_positive_vectors(self):
+        for point in ([], [0.0], [gbps(1), -1.0]):
+            with pytest.raises(ConfigurationError):
+                bottleneck_structure(Const(1.0), point)
+
+    def test_most_valuable_dim_at_equal_bw_carries_the_bulk(self):
+        """GPT-3 on 4D-4K at an equal split: dim 0 carries the TP bulk, so
+        it is where a GB/s is worth most."""
         service = LibraService()
-        scenario = _scenario("3D-512", "Turing-NLG")
-        response = service.submit(OptimizeRequest(scenario=scenario))
+        scenario = build_scenario("4D-4K", ["GPT-3"], total_bw_gbps=500)
         expression = service.engine(scenario).combined_expression()
-        point = list(response.point.bandwidths)
-        # Move a chunk of bandwidth from the most valuable dim to another:
-        # the certificate must detect the improving reverse transfer.
-        structure = bottleneck_structure(expression, tuple(point))
-        best = structure.most_valuable_dim
-        other = next(i for i in range(len(point)) if i != best)
-        shift = 0.4 * point[best]
-        point[best] -= shift
-        point[other] += shift
-        certificate = certify_optimum(expression, tuple(point))
-        assert not certificate.certified
-        assert certificate.best_gain > 0
-
-
-class TestConstraintAwareCertificate:
-    """Probes the constraint set rejects are not available improvements."""
-
-    def test_capped_optimum_certifies_and_perturbation_does_not(self):
-        service = LibraService()
-        scenario = build_scenario(
-            "3D-512", ["MoE-1T"], total_bw_gbps=400.0, dim_caps_gbps=[(2, 60.0)]
-        )
-        constraints = scenario.constraints
-        response = service.submit(OptimizeRequest(scenario=scenario))
-        expression = service.engine(scenario).combined_expression()
-        point = list(response.point.bandwidths)
-        assert point[2] == pytest.approx(gbps(60.0), rel=1e-6)  # cap binds
-
-        structure = bottleneck_structure(expression, point, constraints)
-        assert structure.certificate["certified"], structure.certificate
-        # Without the constraint set, the transfer into the capped
-        # dimension reads as a gain.
-        assert not certify_optimum(expression, point).certified
-
-        shift = 0.05 * point[0]
-        point[0] -= shift
-        point[1] += shift
-        assert constraints.is_feasible(point)
-        perturbed = bottleneck_structure(expression, point, constraints)
-        assert not perturbed.certificate["certified"]
-        assert perturbed.certificate["best_move"] == [1, 0]
+        structure = bottleneck_structure(expression, [gbps(125)] * 4)
+        assert structure.most_valuable_dim == 0
 
 
 class TestTransferMatrix:
@@ -140,6 +156,35 @@ class TestTransferMatrix:
             assert matrix[i][i] == 0.0
             for j in range(len(point)):
                 assert matrix[i][j] == pytest.approx(-matrix[j][i], abs=0.0)
+
+    def test_ranks_the_improving_move_at_a_perturbed_point(self):
+        """Shifting bandwidth off the optimum's most valuable dimension:
+        the matrix ranks moving it back as an improvement, and
+        re-evaluation agrees."""
+        service = LibraService()
+        scenario = _scenario("3D-512", "Turing-NLG")
+        response = service.submit(OptimizeRequest(scenario=scenario))
+        expression = service.engine(scenario).combined_expression()
+        point = list(response.point.bandwidths)
+        best = bottleneck_structure(expression, point).most_valuable_dim
+        other = next(i for i in range(len(point)) if i != best)
+        shift = 0.4 * point[best]
+        point[best] -= shift
+        point[other] += shift
+        structure = bottleneck_structure(expression, point)
+        assert structure.transfer_matrix[other][best] > 0
+        moved = list(point)
+        moved[other] -= 0.01 * shift
+        moved[best] += 0.01 * shift
+        evaluate = vector_evaluator(expression)
+        assert evaluate(moved) < evaluate(point)
+
+    def test_direction_between_two_collectives(self):
+        """Moving bandwidth from the lightly loaded dimension to the heavy
+        one helps; the reverse hurts."""
+        expr = Sum((CommTerm(((0, gbps(100)),)), CommTerm(((1, gbps(10)),))))
+        matrix = bottleneck_structure(expr, [gbps(20)] * 2).transfer_matrix
+        assert matrix[1][0] > 0 > matrix[0][1]
 
     def test_transfer_matrix_matches_marginal_difference(self):
         structure, _ = _structure_at_optimum("3D-512", "GPT-3")
@@ -177,6 +222,26 @@ class TestReportRoundTrip:
         restored = AnalysisReport.from_dict(payload)
         assert restored.to_dict() == report.to_dict()
         assert "binding" in format_report(report)
+        assert "certificate" not in payload
+        assert "certificate" not in format_report(report)
+
+    def test_v1_payload_with_a_certificate_still_reads(self):
+        """Reports written under analysis schema 1 carry the pairwise
+        probe's ``certificate``; decoding ignores it."""
+        structure, _ = _structure_at_optimum("3D-512", "Turing-NLG")
+        report = build_report(structure, scheme="PerfOptBW")
+        payload = {
+            **report.to_dict(),
+            "analysis_schema_version": 1,
+            "certificate": {
+                "step_time": report.step_time, "relative_delta": 0.01,
+                "tolerance": 1e-6, "best_gain": 0.0, "best_move": None,
+                "certified": True,
+            },
+        }
+        assert AnalysisReport.from_dict(payload) == report
+        with pytest.raises(ConfigurationError, match="analysis_schema_version"):
+            AnalysisReport.from_dict({**payload, "analysis_schema_version": 3})
 
 
 class TestReadOnly:

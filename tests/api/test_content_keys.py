@@ -162,10 +162,10 @@ def test_pinned_keys_of_composite_scenarios_and_points():
     tagged = tagged_workload("GPT-3", 512, tp8)
     assert point_key(
         ExplorationPoint(tagged, "3D-512", 432.1, Scheme.PERF_PER_COST_OPT)
-    ) == "aebaa5bce3e8f27c012f8b025ce7f728ee3b3a01066b7637ab738de5d476ddd7"
+    ) == "2be50947e4de88a4f8629df538e8124e86387c79ee64164a1227f674495c463f"
     assert point_key(
         ExplorationPoint("GPT-3", "4D-4K", 500.0, Scheme.PERF_OPT)
-    ) == "2079186ecf967ba1f5e1b5457c4af8f2c6aa3d0662a690da39c7622fbb8a3ce9"
+    ) == "10f4fd2bf1c65237325117703ed6a85b804f6ffb5a4690985e8880232f6d0e21"
     renamed = replace(build_workload("GPT-3", 512), name="GPT-3-renamed")
     assert build_scenario("3D-512", [renamed], total_bw_gbps=500).key() == (
         "f30a4910b0a7b6c0afd6a74f416865c5954cc2b5a83741a2cc6ab2df580cca47"

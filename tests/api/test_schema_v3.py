@@ -140,7 +140,6 @@ class TestBatchResponseRoundTrip:
             speedup_over_equal=1.008,
             ppc_gain_over_equal=1.97,
             solver_message="interior point",
-            solver_starts=1,
         )
         return SweepResult(results=[row], cache_hits=0, solver_calls=1)
 
@@ -178,9 +177,10 @@ class TestBatchResponseRoundTrip:
 
     def test_payloads_with_retired_warm_fields_still_read(self):
         """Cache rows and profiles written while cells were warm-started
-        carry warm-start fields; reading ignores them."""
+        carry warm-start fields, and rows written before ENGINE_VERSION 5
+        the kernel-run count ``solver_starts``; reading ignores them."""
         row = self._sweep().results[0]
-        payload = {**row.to_dict(), "warm_start": "accepted"}
+        payload = {**row.to_dict(), "warm_start": "accepted", "solver_starts": 1}
         assert ExplorationResult.from_dict(payload) == row
         profile = SweepProfile(chains=2)
         payload = {

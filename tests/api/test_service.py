@@ -16,6 +16,7 @@ from repro.api.requests import (
 from repro.api.scenario import build_scenario
 from repro.api.service import LibraService, get_service
 from repro.core import Libra, Scheme
+from repro.core.kernel import CERTIFIED_GAP
 from repro.explore.spec import SweepSpec
 from repro.topology.network import MultiDimNetwork
 from repro.utils import gbps
@@ -306,6 +307,20 @@ class TestDiagnostics:
             scheme=scheme,
         ))
         payload = json.loads(json.dumps(response.to_dict()))
-        assert payload["diagnostics"] == {"starts": 1}
+        assert set(payload["diagnostics"]) == {"gap", "iterations"}
+        assert payload["diagnostics"]["gap"] <= CERTIFIED_GAP
+        assert payload["diagnostics"]["iterations"] > 0
         rebuilt = OptimizeResponse.from_dict(payload)
         assert rebuilt.diagnostics == payload["diagnostics"]
+
+    def test_v5_response_with_run_count_diagnostics_still_reads(self):
+        """Responses written before the certified diagnostics carry
+        ``{"starts": 1}``; they decode unchanged."""
+        response = LibraService().submit(OptimizeRequest(
+            scenario=build_scenario(TOPOLOGY, [WORKLOAD], total_bw_gbps=300),
+        ))
+        payload = {**response.to_dict(), "diagnostics": {"starts": 1}}
+        assert payload["schema_version"] == 5
+        rebuilt = OptimizeResponse.from_dict(json.loads(json.dumps(payload)))
+        assert rebuilt.diagnostics == {"starts": 1}
+        assert rebuilt.point == response.point

@@ -105,6 +105,25 @@ class TestPerfOpt:
         result = minimize_training_time(expr, cons)
         assert result.bandwidths[0] >= result.bandwidths[1] * 0.999
 
+    def test_no_transfer_helps_at_waterfilling(self):
+        """At the budget-constrained optimum, no pairwise bandwidth transfer
+        reduces the step time (direct evaluation — the objective has a kink
+        at water-filling, so this is the correct first-order optimality
+        statement, not marginal equality)."""
+        expr = CommTerm(((0, gbps(300)), (1, gbps(120)), (2, gbps(30))))
+        constraints = ConstraintSet(3).with_total_bandwidth(gbps(450))
+        solved = minimize_training_time(expr, constraints)
+        base = expr.evaluate(solved.bandwidths)
+        delta = gbps(450) * 0.01
+        for source in range(3):
+            for target in range(3):
+                if source == target:
+                    continue
+                moved = list(solved.bandwidths)
+                moved[source] -= delta
+                moved[target] += delta
+                assert expr.evaluate(moved) >= base * (1 - 1e-9)
+
     def test_kkt_equalized_bottlenecks(self):
         """At the optimum of a single comm term, all dims are co-bottlenecked."""
         expr = CommTerm(((0, gbps(123)), (1, gbps(45)), (2, gbps(7))))
@@ -116,7 +135,7 @@ class TestPerfOpt:
     def test_compute_only_short_circuits(self):
         cons = ConstraintSet(2).with_total_bandwidth(gbps(100))
         result = minimize_training_time(Const(3.0), cons)
-        assert result.success
+        assert result.gap == 0.0 and result.iterations == 0
         assert result.objective == 3.0
 
     def test_overlap_expression(self):
@@ -188,7 +207,7 @@ class TestPerfPerCost:
         )
         rates = np.array([1.0, 3.0]) / 1e9
         result = minimize_time_cost_product(Const(0.25), cons, rates)
-        assert result.success and result.gap <= 1e-6
+        assert result.gap <= 1e-6
         assert audit_solution(Const(0.25), cons, result, rates) == []
         cheapest = 0.25 * float(
             rates @ (

@@ -101,8 +101,7 @@ def solve(problem_factory):
 
 def assert_no_worse_than_recorded(result, case: str) -> None:
     recorded = RECORDED[case]
-    both_converged = recorded["converged"] and result.success
-    rtol = CONVERGED_RTOL if both_converged else STALLED_RTOL
+    rtol = CONVERGED_RTOL if recorded["converged"] else STALLED_RTOL
     assert result.objective <= recorded["objective"] * (1 + rtol), (
         f"{case}: objective {result.objective!r} worse than the recorded "
         f"{recorded['objective']!r} (rtol {rtol:g})"
@@ -160,7 +159,6 @@ class TestOptimalityOracle:
             cost_rates=rates,
         )
         assert not faults, faults
-        assert result.success and result.starts == 1
         assert_no_worse_than_recorded(
             result, f"{workload}/{variant}/perf-per-cost"
         )
@@ -181,7 +179,8 @@ class TestOracleFaults:
         if rates is not None:
             value *= float(rates @ point)
         return SolverResult(
-            tuple(point), value, True, "test", 1, multipliers=multipliers
+            bandwidths=tuple(point), objective=value, message="test",
+            gap=0.0, iterations=0, multipliers=multipliers,
         )
 
     def _optimum(self):

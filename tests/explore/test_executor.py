@@ -82,6 +82,26 @@ class TestErrorContainment:
         bad = sweep.filter(topology="XX(4)")
         assert all("NotationError" in r.error for r in bad)
 
+    def test_uncertified_answer_is_an_error_row_never_cached(
+        self, monkeypatch
+    ):
+        """With the certified bound out of every run's reach, each solve
+        raises: its cell becomes an error row naming the gap, is not
+        cached, and solves afresh on the next run."""
+        import repro.core.solver as solver
+
+        cache = ResultCache()
+        spec = tiny_spec(schemes=(Scheme.PERF_OPT, Scheme.PERF_PER_COST_OPT))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "CERTIFIED_GAP", -1.0)
+            first = run_sweep(spec, cache=cache)
+        assert first.num_errors == 4
+        for row in first.results:
+            assert row.error.startswith("OptimizationError: uncertified")
+            assert "gap" in row.error
+        second = run_sweep(spec, cache=cache)
+        assert second.num_errors == 0 and second.cache_hits == 0
+
     def test_error_rows_are_retried_not_cached(self):
         cache = ResultCache()
         spec = tiny_spec(workloads=("GPT-3",))
@@ -256,19 +276,19 @@ class TestParallelExecution:
 
 
 class TestProfile:
-    def test_equal_bw_rows_carry_no_solver_runs(self):
+    def test_equal_bw_rows_carry_no_solver_message(self):
         sweep = run_sweep(
             tiny_spec(
                 bandwidths_gbps=(100.0, 200.0), schemes=(Scheme.EQUAL_BW,)
             )
         )
-        assert all(row.solver_starts == 0 for row in sweep.results)
+        assert all(row.solver_message == "" for row in sweep.results)
 
-    def test_solved_rows_are_one_kernel_run(self):
+    def test_solved_rows_state_their_certificate(self):
         sweep = run_sweep(
             tiny_spec(schemes=(Scheme.PERF_OPT, Scheme.PERF_PER_COST_OPT))
         )
-        assert [row.solver_starts for row in sweep.results] == [1, 1, 1, 1]
+        assert len(sweep.results) == 4
         assert all("interior point: certified" in row.solver_message
                    for row in sweep.results)
 

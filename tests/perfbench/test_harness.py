@@ -45,10 +45,10 @@ class TestArtifact:
     def test_solver_records(self, artifact):
         for bench in artifact["benchmarks"][:2]:
             assert set(bench) == {
-                "name", "vectorized_cold_s", "vectorized_warm_s", "objective",
+                "name", "memo_cleared_s", "memo_hit_s", "objective",
             }
-            assert bench["vectorized_cold_s"] > 0
-            assert bench["vectorized_warm_s"] > 0
+            assert bench["memo_cleared_s"] > 0
+            assert bench["memo_hit_s"] > 0
             assert bench["objective"] > 0
 
     def test_memo_and_sweep_records(self, artifact):

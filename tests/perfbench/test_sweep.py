@@ -63,6 +63,15 @@ class TestSweepBenchmark:
         with pytest.raises(BenchEquivalenceError, match="planted"):
             run_sweep_benchmark(TINY)
 
+    def test_uncertified_cell_fails_the_gate(self, monkeypatch):
+        """An answer the solver cannot certify is an error row, and an
+        error row fails the audit instead of dropping out of it."""
+        import repro.core.solver as solver
+
+        monkeypatch.setattr(solver, "CERTIFIED_GAP", -1.0)
+        with pytest.raises(BenchEquivalenceError, match="no answer"):
+            run_sweep_benchmark(TINY)
+
     def test_cells_per_second_floor(self, tmp_path, capsys):
         """``--min-cells-per-s`` passes a reachable floor and exits 3 below
         an unreachable one (the artifact is still written)."""

@@ -156,8 +156,7 @@ class TestEventStream:
         endpoint.wait(info.id, timeout=120)
         events = list(endpoint.events(info.id))
         kinds = [e.kind for e in events]
-        assert kinds[0] == "state" and kinds[-1] == "state"
-        assert "solve" in kinds
+        assert kinds == ["state", "state", "state"]
         assert [e.seq for e in events] == list(range(len(events)))
         # Resuming mid-stream returns exactly the suffix.
         tail = list(endpoint.events(info.id, after=2))

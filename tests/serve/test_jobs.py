@@ -80,6 +80,14 @@ class TestLifecycle:
         ]
         assert record.events[-1].data["error"] == "solver exploded"
 
+    @pytest.mark.parametrize("kind", ["solve", "strategy", "bogus"])
+    def test_retired_or_unknown_kinds_are_never_emitted(self, kind):
+        record = _record()
+        with record.cond:
+            with pytest.raises(ConfigurationError, match="cannot emit"):
+                record.emit(kind, {})
+        assert [event.kind for event in record.events] == ["state"]
+
     def test_event_log_is_a_bounded_ring_with_global_seqs(self, monkeypatch):
         import repro.serve.jobs as jobs_module
         from repro.serve.jobs import JobHandle

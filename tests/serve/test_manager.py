@@ -5,9 +5,11 @@ import time
 
 import pytest
 
+import repro.core.solver as solver
 from repro.api.requests import BatchRequest, OptimizeRequest
 from repro.api.scenario import build_scenario
 from repro.api.service import LibraService
+from repro.core.kernel import CERTIFIED_GAP
 from repro.explore.spec import SweepSpec
 from repro.serve import JobManager, JobState
 from repro.utils.errors import ConfigurationError, JobCancelled, ReproError
@@ -58,12 +60,20 @@ class TestSubmit:
         seqs = [e.seq for e in events]
         assert seqs == list(range(len(events)))
 
-    def test_solve_event_carries_the_kernel_run_count(self, manager):
+    def test_optimize_result_carries_its_certificate(self, manager):
         handle = manager.submit(_request())
-        handle.result(timeout=120)
-        solve_events = [e for e in handle.events() if e.kind == "solve"]
-        assert len(solve_events) == 1
-        assert solve_events[0].data == {"starts": 1}
+        response = handle.result(timeout=120)
+        assert response.diagnostics["gap"] <= CERTIFIED_GAP
+        assert response.diagnostics["iterations"] > 0
+        assert {e.kind for e in handle.events()} == {"state"}
+
+    def test_uncertified_answer_fails_the_job(self, manager, monkeypatch):
+        monkeypatch.setattr(solver, "CERTIFIED_GAP", -1.0)
+        handle = manager.submit(_request())
+        assert handle.wait(timeout=120) is JobState.FAILED
+        with pytest.raises(ReproError, match="uncertified answer"):
+            handle.result()
+        assert "gap" in handle.info().error
 
     def test_batch_job_reports_cells_and_diagnostics(self, manager):
         spec = SweepSpec(

@@ -132,6 +132,43 @@ class TestGracefulRestart:
         finally:
             restarted.shutdown()
 
+    def test_done_job_an_earlier_build_stored_restores(self, tmp_path):
+        """Earlier builds logged a ``solve`` event per optimize job and
+        stored ``{"starts": 1}`` as its diagnostics; such a job restores
+        with both, and its events stay gapless."""
+        state = tmp_path / "state"
+        with JobManager(workers=1, store=JobStore(state)) as manager:
+            handle = manager.submit(_request())
+            handle.result(timeout=120)
+            job_id = handle.id
+        job_dir = state / "jobs" / job_id
+        record = json.loads((job_dir / "record.json").read_text())
+        record["job"]["result"]["diagnostics"] = {"starts": 1}
+        record["job"]["events"] += 1
+        (job_dir / "record.json").write_text(json.dumps(record))
+        events = [
+            json.loads(line)
+            for line in (job_dir / "events.ndjson").read_text().splitlines()
+        ]
+        events.insert(2, {**events[1], "kind": "solve", "data": {"starts": 1}})
+        for seq, event in enumerate(events):
+            event["seq"] = seq
+        (job_dir / "events.ndjson").write_text(
+            "".join(json.dumps(event) + "\n" for event in events)
+        )
+
+        restarted = JobManager(workers=1, store=JobStore(state))
+        try:
+            handle = restarted.get(job_id)
+            assert handle.state is JobState.DONE
+            assert handle.result().diagnostics == {"starts": 1}
+            assert [e.kind for e in handle.events()] == [
+                "state", "state", "solve", "state"
+            ]
+            assert [e.seq for e in handle.events()] == [0, 1, 2, 3]
+        finally:
+            restarted.shutdown()
+
     def test_queued_job_is_recovered_and_completed(self, tmp_path):
         request = _request()
         with JobStore(tmp_path / "state") as store:
